@@ -1,0 +1,392 @@
+"""Rule-based excavator action recognition.
+
+Each frame combines three signals: where the bucket-side probe point sits
+among the configured working areas, whether the carbody keypoints
+(body1..body4) have been still over a short rolling window, and the
+previous state, which disambiguates the two swing directions.  Prolonged
+stillness of body and arm together becomes idle in any determinate
+location.  Indeterminate inputs (underfull window, no confident probe)
+hold the previous state rather than emit a spurious transition.
+"""
+
+from __future__ import annotations
+
+import csv
+import math
+from collections import deque
+from dataclasses import dataclass
+from enum import Enum
+from typing import Iterable, Sequence
+
+from .geometry import (
+    BBox,
+    LocationLabel,
+    Point,
+    Region,
+    bbox_diagonal,
+    classify_location,
+)
+from .streams import ARM_KEYPOINTS, BODY_KEYPOINTS, Pose
+
+
+class ActionState(str, Enum):
+    DIGGING = "digging"
+    SWING_AFTER_DIGGING = "swing_after_digging"
+    DUMPING = "dumping"
+    SWING_FOR_DIGGING = "swing_for_digging"
+    IDLE = "idle"
+    UNKNOWN = "unknown"
+
+
+# Previous states that make an ongoing swing a return swing toward the
+# digging area; every other predecessor swings away from it.
+_SWING_FOR_PREDECESSORS = (ActionState.DUMPING, ActionState.SWING_FOR_DIGGING)
+
+
+class MotionWindow:
+    """Rolling window of recent keypoint positions for one track.
+
+    Holds positions for up to ``size`` consecutive frames; pushing a
+    non-consecutive frame index resets the window first, so detection
+    gaps never masquerade as large displacements.
+    """
+
+    def __init__(self, size: int):
+        if size < 2:
+            raise ValueError("window size must be at least 2")
+        self.size = size
+        self._frames: deque[int] = deque(maxlen=size)
+        self._points: deque[tuple[Point, ...]] = deque(maxlen=size)
+
+    def __len__(self) -> int:
+        return len(self._frames)
+
+    def reset(self) -> None:
+        self._frames.clear()
+        self._points.clear()
+
+    def push(self, frame_index: int, points: Sequence[Point]) -> None:
+        if self._points and len(points) != len(self._points[-1]):
+            raise ValueError("inconsistent keypoint count pushed into window")
+        if self._frames and frame_index != self._frames[-1] + 1:
+            self.reset()
+        self._frames.append(frame_index)
+        self._points.append(tuple(points))
+
+    def motion(self) -> float | None:
+        """Mean per-frame displacement, or None while underfull."""
+        if len(self._points) < 2:
+            return None
+        steps = len(self._points) - 1
+        n_points = len(self._points[0])
+        total = 0.0
+        hypot = math.hypot
+        prev = None
+        for entry in self._points:
+            if prev is not None:
+                for (x1, y1), (x2, y2) in zip(prev, entry):
+                    total += hypot(x2 - x1, y2 - y1)
+            prev = entry
+        return total / (steps * n_points)
+
+
+def body_motion(window: MotionWindow) -> float:
+    """Mean per-frame displacement over the window; raises when underfull."""
+    value = window.motion()
+    if value is None:
+        raise ValueError("motion window needs at least 2 entries")
+    return value
+
+
+def is_still(motion: float, threshold: float) -> bool:
+    """Strictly below the threshold counts as still."""
+    if threshold <= 0:
+        raise ValueError("stillness threshold must be positive")
+    return motion < threshold
+
+
+def step_state(
+    prev: ActionState,
+    loc: LocationLabel,
+    body_still: bool,
+    arm_still: bool,
+    idle_elapsed: float,
+    idle_grace: float = 3.0,
+) -> ActionState:
+    """One transition of the action rules; pure function.
+
+    Prolonged total stillness wins first (idle, any determinate
+    location), then a still body in the digging area digs, then a moving
+    body swings (direction from the previous state), then a still body
+    with a moving arm in the dumping area dumps.  Anything else holds the
+    previous state.  Callers must resolve indeterminate locations before
+    stepping.
+    """
+    if body_still and arm_still and idle_elapsed >= idle_grace:
+        return ActionState.IDLE
+    if loc is LocationLabel.IN_DIGGING and body_still:
+        return ActionState.DIGGING
+    if not body_still:
+        if prev in _SWING_FOR_PREDECESSORS:
+            return ActionState.SWING_FOR_DIGGING
+        return ActionState.SWING_AFTER_DIGGING
+    if loc is LocationLabel.IN_DUMPING and not arm_still:
+        return ActionState.DUMPING
+    return prev
+
+
+@dataclass(frozen=True)
+class ActivityConfig:
+    """Thresholds for the per-track state machine.
+
+    stillness_threshold is px/frame in "px" mode, or a fraction of the
+    excavator bbox diagonal per frame in "bbox_frac" mode.
+    """
+
+    stillness_threshold: float = 1.5
+    stillness_mode: str = "px"
+    motion_window: int = 5
+    idle_grace_s: float = 3.0
+    min_segment_s: float = 0.5
+    probe_conf_floor: float = 0.3
+
+    def __post_init__(self):
+        if self.stillness_mode not in ("px", "bbox_frac"):
+            raise ValueError("stillness_mode must be 'px' or 'bbox_frac'")
+        if self.stillness_threshold <= 0:
+            raise ValueError("stillness_threshold must be positive")
+        if self.motion_window < 2:
+            raise ValueError("motion_window must be at least 2")
+        if self.idle_grace_s < 0:
+            raise ValueError("idle_grace_s must be non-negative")
+        if self.min_segment_s < 0:
+            raise ValueError("min_segment_s must be non-negative")
+        if not 0.0 <= self.probe_conf_floor <= 1.0:
+            raise ValueError("probe_conf_floor must be in [0, 1]")
+
+
+class ActionClassifier:
+    """Per-track action state machine over frame-ordered pose observations."""
+
+    def __init__(
+        self,
+        regions: Sequence[Region],
+        fps: float,
+        config: ActivityConfig | None = None,
+    ):
+        if fps <= 0:
+            raise ValueError("fps must be positive")
+        self.regions = tuple(regions)
+        self.fps = fps
+        self.config = config or ActivityConfig()
+        self.state = ActionState.UNKNOWN
+        self.states: list[tuple[int, ActionState]] = []
+        self._body = MotionWindow(self.config.motion_window)
+        self._arm = MotionWindow(self.config.motion_window)
+        self._still_frames = 0
+        self._last_frame: int | None = None
+
+    def _threshold(self, bbox: BBox | None) -> float:
+        if self.config.stillness_mode == "px":
+            return self.config.stillness_threshold
+        if bbox is None:
+            raise ValueError("bbox_frac stillness mode needs the detection bbox")
+        return self.config.stillness_threshold * bbox_diagonal(bbox)
+
+    def step(
+        self, frame_index: int, pose: Pose | None, bbox: BBox | None = None
+    ) -> ActionState:
+        """Advance one frame; a None pose holds state and resets history."""
+        if self._last_frame is not None and frame_index <= self._last_frame:
+            raise ValueError("frame indices must be strictly increasing")
+        if pose is None:
+            self._body.reset()
+            self._arm.reset()
+            self._still_frames = 0
+            self._last_frame = frame_index
+            self.states.append((frame_index, self.state))
+            return self.state
+        if self._last_frame is not None and frame_index != self._last_frame + 1:
+            self._still_frames = 0
+        self._last_frame = frame_index
+        self._body.push(frame_index, [pose.point(n) for n in BODY_KEYPOINTS])
+        self._arm.push(frame_index, [pose.point(n) for n in ARM_KEYPOINTS])
+        body = self._body.motion()
+        arm = self._arm.motion()
+        if body is None or arm is None:
+            self._still_frames = 0
+        else:
+            threshold = self._threshold(bbox)
+            body_still = is_still(body, threshold)
+            arm_still = is_still(arm, threshold)
+            if body_still and arm_still:
+                self._still_frames += 1
+            else:
+                self._still_frames = 0
+            loc = classify_location(pose, self.regions, self.config.probe_conf_floor)
+            if loc is not None:
+                self.state = step_state(
+                    self.state,
+                    loc,
+                    body_still,
+                    arm_still,
+                    self._still_frames / self.fps,
+                    self.config.idle_grace_s,
+                )
+        self.states.append((frame_index, self.state))
+        return self.state
+
+
+@dataclass(frozen=True)
+class TimelineSegment:
+    state: ActionState
+    start_frame: int
+    end_frame: int  # inclusive
+    start_s: float
+    end_s: float  # exclusive, (end_frame + 1) / fps
+    duration_s: float
+
+
+@dataclass
+class ActionTimeline:
+    """Per-frame states plus their run-length segments."""
+
+    fps: float
+    states: list[tuple[int, ActionState]]
+    segments: list[TimelineSegment]
+
+    @property
+    def start_frame(self) -> int | None:
+        return self.segments[0].start_frame if self.segments else None
+
+    @property
+    def end_frame(self) -> int | None:
+        return self.segments[-1].end_frame if self.segments else None
+
+    @property
+    def total_s(self) -> float:
+        if not self.segments:
+            return 0.0
+        first = self.segments[0].start_frame
+        last = self.segments[-1].end_frame
+        return (last - first + 1) / self.fps
+
+    def state_seconds(self, merge_swings: bool = True) -> dict[str, float]:
+        """Total seconds per state; swing variants merge under 'swinging'."""
+        out: dict[str, float] = {}
+        for seg in self.segments:
+            key = seg.state.value
+            if merge_swings and seg.state in (
+                ActionState.SWING_AFTER_DIGGING,
+                ActionState.SWING_FOR_DIGGING,
+            ):
+                key = "swinging"
+            out[key] = out.get(key, 0.0) + seg.duration_s
+        return out
+
+
+def build_timeline(
+    states: Sequence[tuple[int, ActionState]] | Sequence[ActionState],
+    fps: float,
+    min_duration: float = 0.5,
+) -> ActionTimeline:
+    """Run-length encode per-frame states into a debounced timeline.
+
+    Accepts (frame index, state) pairs or bare states indexed from 0.
+    Runs shorter than min_duration are absorbed into the preceding
+    segment; a short leading run (which has no preceding segment, e.g.
+    the warm-up) is absorbed into the following one instead.  Equal
+    neighbors merge.  Gaps between observed frames extend the earlier
+    segment, so the segments partition the full observed frame range.
+    """
+    if fps <= 0:
+        raise ValueError("fps must be positive")
+    if min_duration < 0:
+        raise ValueError("min_duration must be non-negative")
+    pairs: list[tuple[int, ActionState]] = []
+    for i, item in enumerate(states):
+        if isinstance(item, ActionState):
+            pairs.append((i, item))
+        else:
+            frame, state = item
+            pairs.append((int(frame), ActionState(state)))
+    if not pairs:
+        return ActionTimeline(fps, [], [])
+    for (a, _), (b, _) in zip(pairs, pairs[1:]):
+        if b <= a:
+            raise ValueError("frame indices must be strictly increasing")
+
+    # Run-length encode, then stitch each run's end out to the next
+    # run's start so gaps stay covered by the state that was held.
+    runs: list[list] = []
+    for frame, state in pairs:
+        if runs and runs[-1][0] is state:
+            runs[-1][2] = frame
+        else:
+            runs.append([state, frame, frame])
+    for current, following in zip(runs, runs[1:]):
+        current[2] = following[1] - 1
+
+    merged: list[list] = [runs[0]]
+    for state, start, end in runs[1:]:
+        span_s = (end - start + 1) / fps
+        if span_s < min_duration or merged[-1][0] is state:
+            merged[-1][2] = end
+        else:
+            merged.append([state, start, end])
+    while (
+        len(merged) > 1
+        and (merged[0][2] - merged[0][1] + 1) / fps < min_duration
+    ):
+        merged[1][1] = merged[0][1]
+        del merged[0]
+
+    segments = [
+        TimelineSegment(
+            state,
+            start,
+            end,
+            start / fps,
+            (end + 1) / fps,
+            (end - start + 1) / fps,
+        )
+        for state, start, end in merged
+    ]
+    return ActionTimeline(fps, list(pairs), segments)
+
+
+TIMELINE_CSV_FIELDS = ("segment", "start_s", "end_s", "state")
+
+
+def write_timeline_csv(timeline: ActionTimeline, path) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TIMELINE_CSV_FIELDS)
+        for i, seg in enumerate(timeline.segments):
+            writer.writerow([i, repr(seg.start_s), repr(seg.end_s), seg.state.value])
+
+
+def read_timeline_csv(path, fps: float) -> ActionTimeline:
+    """Rebuild a timeline from its CSV export (segments only, no states)."""
+    segments: list[TimelineSegment] = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or set(TIMELINE_CSV_FIELDS) - set(reader.fieldnames):
+            raise ValueError("timeline CSV missing required columns")
+        for row in reader:
+            state = ActionState(row["state"])
+            start_s = float(row["start_s"])
+            end_s = float(row["end_s"])
+            if end_s <= start_s:
+                raise ValueError("timeline CSV segment must end after it starts")
+            start_f = round(start_s * fps)
+            end_f = round(end_s * fps) - 1
+            segments.append(
+                TimelineSegment(
+                    state, start_f, end_f, start_s, end_s, end_s - start_s
+                )
+            )
+    for a, b in zip(segments, segments[1:]):
+        if b.start_frame != a.end_frame + 1:
+            raise ValueError("timeline CSV segments must be contiguous")
+    return ActionTimeline(fps, [], segments)

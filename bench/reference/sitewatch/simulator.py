@@ -1,0 +1,819 @@
+"""Deterministic synthetic scenarios with exactly known ground truth.
+
+A scenario scripts an excavator through dig / swing / dump (/ idle)
+phases whose durations are drawn once per phase from uniform ranges.
+Keypoint paths are piecewise linear: the carbody keypoints stand still
+during dig, dump, and idle, and translate at a constant speed during
+swings; the bucket-side keypoints sit inside the matching polygon during
+dig and dump (oscillating so the arm is never mistaken for idle) and
+travel between the two areas during swings.  Ground truth carries the
+per-frame states an ideal-perception replay of the activity rules
+produces, the cycles that replay realizes, the machine roster, and the
+frames on which the safety rule must alert.
+
+Randomness comes from ``random.Random`` (the Mersenne Twister documented
+by the standard library), so one seed yields one byte-identical stream
+on every platform.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import random
+from dataclasses import dataclass, field, replace
+from typing import Iterator, Sequence
+
+from .activity import ActionClassifier, ActionState, ActivityConfig, build_timeline
+from .config import (
+    activity_from_dict,
+    activity_to_dict,
+    expect_keys,
+    load_json_config,
+    region_from_dict,
+    region_to_dict,
+)
+from .errors import ConfigError
+from .geometry import (
+    BBox,
+    Point,
+    Region,
+    RegionLabel,
+    bbox_bottom_center,
+    locate_point,
+    polygon_centroid,
+    validate_regions,
+)
+from .productivity import CycleRecord, detect_cycles
+from .safety import check_collision
+from .streams import (
+    KEYPOINT_NAMES,
+    Detection,
+    Keypoint,
+    MachineClass,
+    PerceptionFrame,
+    Pose,
+    StreamHeader,
+    serialize_stream,
+    write_stream,
+)
+
+DEFAULT_REGIONS = (
+    Region(RegionLabel.DIGGING, ((150, 300), (650, 280), (700, 700), (180, 740))),
+    Region(RegionLabel.DUMPING, ((1150, 300), (1700, 320), (1680, 760), (1120, 700))),
+)
+
+# Keypoint offsets around the body position and the probe point.
+_BODY_CORNERS = ((-60, -45), (60, -45), (60, 45), (-60, 45))
+_ARM_OFFSETS = {
+    "bucket_joint": (0.0, 0.0),
+    "arm_joint": (20.0, -14.0),
+    "bucket_end1": (-14.0, 12.0),
+    "bucket_end2": (12.0, 14.0),
+}
+# Orientation offsets of the carbody while facing each working area.
+_FACING_DIG = (0.0, 0.0)
+_FACING_DUMP = (30.0, -20.0)
+# Bucket oscillation waveform while digging or dumping: one arm_step of
+# vertical travel per frame, so the arm never reads as still.
+_OSC_WAVE = (0, 1, 2, 1, 0, -1, -2, -1)
+
+_EXCAVATOR_SCORE = 0.97
+_MACHINE_SCORE = 0.9
+_BBOX_MARGIN = 30.0
+
+
+@dataclass(frozen=True)
+class DurationRange:
+    """Uniform duration range in seconds; min == max pins the value."""
+
+    min_s: float
+    max_s: float
+
+    def __post_init__(self):
+        if not 0 < self.min_s <= self.max_s:
+            raise ValueError("duration range needs 0 < min_s <= max_s")
+
+    def sample(self, rng: random.Random) -> float:
+        return rng.uniform(self.min_s, self.max_s)
+
+
+@dataclass(frozen=True)
+class NoiseModel:
+    keypoint_sigma: float = 0.0
+    drop_prob: float = 0.0
+    bbox_sigma: float = 0.0
+
+    def __post_init__(self):
+        if self.keypoint_sigma < 0 or self.bbox_sigma < 0:
+            raise ValueError("noise sigmas must be non-negative")
+        if not 0.0 <= self.drop_prob < 1.0:
+            raise ValueError("drop_prob must be in [0, 1)")
+
+
+@dataclass(frozen=True)
+class MachineSpec:
+    """A secondary machine parked at a fixed box for a frame range."""
+
+    cls: MachineClass
+    bbox: BBox
+    entry_frame: int = 0
+    exit_frame: int | None = None  # inclusive; None runs to the end
+
+    def __post_init__(self):
+        object.__setattr__(self, "cls", MachineClass(self.cls))
+        if self.entry_frame < 0:
+            raise ValueError("entry_frame must be non-negative")
+        if self.exit_frame is not None and self.exit_frame < self.entry_frame:
+            raise ValueError("exit_frame must not precede entry_frame")
+        x, y, w, h = self.bbox
+        if w <= 0 or h <= 0:
+            raise ValueError("machine bbox must have positive size")
+
+    def present(self, frame: int) -> bool:
+        if frame < self.entry_frame:
+            return False
+        return self.exit_frame is None or frame <= self.exit_frame
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    seed: int = 0
+    fps: float = 25.0
+    duration_s: float = 120.0
+    width: int = 1920
+    height: int = 1080
+    source: str = "sim"
+    regions: tuple[Region, ...] = DEFAULT_REGIONS
+    dig: DurationRange = DurationRange(6.0, 12.0)
+    swing: DurationRange = DurationRange(2.4, 5.0)
+    dump: DurationRange = DurationRange(5.0, 10.0)
+    idle: DurationRange | None = None
+    idle_prob: float = 0.0
+    cycle_count: int | None = None  # exact cycles; overrides duration_s
+    swing_speed: float = 12.0  # carbody px/frame during swings
+    arm_step: float = 8.0  # bucket px/frame while digging or dumping
+    machines: tuple[MachineSpec, ...] = ()
+    noise: NoiseModel = NoiseModel()
+    activity: ActivityConfig = field(default_factory=ActivityConfig)
+
+    def __post_init__(self):
+        if self.fps <= 0:
+            raise ValueError("fps must be positive")
+        if self.cycle_count is None and self.duration_s <= 0:
+            raise ValueError("duration_s must be positive")
+        if self.cycle_count is not None and self.cycle_count < 1:
+            raise ValueError("cycle_count must be at least 1")
+        if self.width < 200 or self.height < 200:
+            raise ValueError("image extent too small for the scene layout")
+        if self.swing_speed <= 0 or self.arm_step <= 0:
+            raise ValueError("speeds must be positive")
+        if not 0.0 <= self.idle_prob <= 1.0:
+            raise ValueError("idle_prob must be in [0, 1]")
+        if self.idle_prob > 0 and self.idle is None:
+            raise ValueError("idle_prob needs an idle duration range")
+        regions = tuple(self.regions)
+        object.__setattr__(self, "regions", regions)
+        validate_regions(regions)
+        labels = [r.label for r in regions]
+        if RegionLabel.DIGGING not in labels or RegionLabel.DUMPING not in labels:
+            raise ValueError("scenario needs one digging and one dumping region")
+        machines = tuple(self.machines)
+        object.__setattr__(self, "machines", machines)
+        for spec in machines:
+            x, y, w, h = spec.bbox
+            if x < 0 or y < 0 or x + w > self.width or y + h > self.height:
+                raise ValueError("machine bbox exceeds the image extent")
+
+
+@dataclass
+class GroundTruth:
+    """What an ideal analyzer must recover from the generated stream."""
+
+    fps: float
+    states: list[ActionState]  # per frame, ideal-perception replay
+    phases: list[tuple[ActionState, int, int]]  # scripted (state, first, last)
+    cycles: list[CycleRecord]  # dig-start pairs the replay realizes
+    machines: tuple[MachineSpec, ...]  # secondary roster (excavator implied)
+    alert_frames: list[int]
+
+    def to_dict(self) -> dict:
+        return {
+            "fps": self.fps,
+            "frames": len(self.states),
+            "states": [s.value for s in self.states],
+            "phases": [[s.value, a, b] for s, a, b in self.phases],
+            "cycles": [
+                {
+                    "start_frame": c.start_frame,
+                    "end_frame": c.end_frame,
+                    "duration_s": c.duration_s,
+                }
+                for c in self.cycles
+            ],
+            "machines": [
+                {
+                    "class": m.cls.value,
+                    "bbox": list(m.bbox),
+                    "entry_frame": m.entry_frame,
+                    "exit_frame": m.exit_frame,
+                }
+                for m in self.machines
+            ],
+            "alert_frames": self.alert_frames,
+        }
+
+    @classmethod
+    def from_dict(cls, obj: dict) -> "GroundTruth":
+        return cls(
+            fps=float(obj["fps"]),
+            states=[ActionState(s) for s in obj["states"]],
+            phases=[(ActionState(s), a, b) for s, a, b in obj["phases"]],
+            cycles=[
+                CycleRecord(c["start_frame"], c["end_frame"], c["duration_s"])
+                for c in obj["cycles"]
+            ],
+            machines=tuple(
+                MachineSpec(
+                    MachineClass(m["class"]),
+                    tuple(m["bbox"]),
+                    m["entry_frame"],
+                    m["exit_frame"],
+                )
+                for m in obj["machines"]
+            ),
+            alert_frames=list(obj["alert_frames"]),
+        )
+
+
+@dataclass
+class Simulation:
+    """A generated stream bundled with its ground truth."""
+
+    config: ScenarioConfig
+    header: StreamHeader
+    frames: list[PerceptionFrame]
+    truth: GroundTruth
+    probe_points: list[Point]  # pre-noise probe per frame (alert oracle)
+
+    def lines(self) -> Iterator[str]:
+        return serialize_stream(self.header, self.frames)
+
+    def write(self, stream_path, truth_path=None) -> None:
+        write_stream(stream_path, self.header, self.frames)
+        if truth_path is not None:
+            with open(truth_path, "w", encoding="utf-8") as fh:
+                json.dump(self.truth.to_dict(), fh)
+                fh.write("\n")
+
+
+def _frame_of(t_s: float, fps: float) -> int:
+    # Half-up rounding keeps phase boundaries stable and makes scripted
+    # spans sum exactly (banker's rounding would drift on .5 boundaries).
+    return int(t_s * fps + 0.5)
+
+
+def _build_script(config: ScenarioConfig, rng: random.Random) -> list[tuple[ActionState, float]]:
+    """Phase list as (state, duration_s); starts with a lead-in swing."""
+    script: list[tuple[ActionState, float]] = [
+        (ActionState.SWING_FOR_DIGGING, config.swing.sample(rng))
+    ]
+    if config.cycle_count is not None:
+        for _ in range(config.cycle_count):
+            script.append((ActionState.DIGGING, config.dig.sample(rng)))
+            script.append((ActionState.SWING_AFTER_DIGGING, config.swing.sample(rng)))
+            script.append((ActionState.DUMPING, config.dump.sample(rng)))
+            script.append((ActionState.SWING_FOR_DIGGING, config.swing.sample(rng)))
+        script.append((ActionState.DIGGING, config.dig.sample(rng)))
+        return script
+    total = script[0][1]
+    while total < config.duration_s:
+        for state, rng_range in (
+            (ActionState.DIGGING, config.dig),
+            (ActionState.SWING_AFTER_DIGGING, config.swing),
+            (ActionState.DUMPING, config.dump),
+        ):
+            script.append((state, rng_range.sample(rng)))
+            total += script[-1][1]
+        if config.idle is not None and rng.random() < config.idle_prob:
+            script.append((ActionState.IDLE, config.idle.sample(rng)))
+            total += script[-1][1]
+        script.append((ActionState.SWING_FOR_DIGGING, config.swing.sample(rng)))
+        total += script[-1][1]
+    return script
+
+
+def _phase_frames(
+    script: Sequence[tuple[ActionState, float]], config: ScenarioConfig
+) -> tuple[list[tuple[ActionState, int, int]], int, list[int]]:
+    """Map the script to inclusive frame ranges, truncating at duration.
+
+    Also returns each phase's full scripted frame count, which exceeds
+    its emitted length only for a phase cut off by the stream end;
+    motion is paced by the full count so a truncated swing stops mid-arc
+    instead of compressing the whole arc into the remaining frames.
+    """
+    limit = (
+        None
+        if config.cycle_count is not None
+        else _frame_of(config.duration_s, config.fps)
+    )
+    phases: list[tuple[ActionState, int, int]] = []
+    scripted_frames: list[int] = []
+    elapsed = 0.0
+    start = 0
+    for state, duration in script:
+        elapsed += duration
+        end = _frame_of(elapsed, config.fps)
+        full_end = end
+        if limit is not None:
+            end = min(end, limit)
+        if end > start:
+            phases.append((state, start, end - 1))
+            scripted_frames.append(full_end - start)
+        start = end
+        if limit is not None and end >= limit:
+            break
+    return phases, start, scripted_frames
+
+
+def _overshoot_path(origin: Point, target: Point, length: float):
+    """Constant-speed path origin -> beyond target -> target.
+
+    The walk covers exactly ``length``; the turnaround sits past the
+    target so the fold lands mid-swing, far from the stopping frame.
+    """
+    dx = target[0] - origin[0]
+    dy = target[1] - origin[1]
+    d = math.hypot(dx, dy)
+    if d < 1e-9:
+        ux, uy = 1.0, 0.0  # degenerate: overshoot along x
+        d = 0.0
+    else:
+        ux, uy = dx / d, dy / d
+    out = (length + d) / 2.0  # forward leg, then (length - d) / 2 back
+
+    def position(s: float) -> Point:
+        along = s if s <= out else 2.0 * out - s
+        return (origin[0] + ux * along, origin[1] + uy * along)
+
+    return position
+
+
+class _ExcavatorPath:
+    """Pre-noise body and probe positions for every frame."""
+
+    def __init__(
+        self,
+        phases: Sequence[tuple[ActionState, int, int]],
+        config: ScenarioConfig,
+        scripted_frames: Sequence[int] | None = None,
+    ):
+        dig_region = next(r for r in config.regions if r.label is RegionLabel.DIGGING)
+        dump_region = next(r for r in config.regions if r.label is RegionLabel.DUMPING)
+        self.dig_anchor = polygon_centroid(dig_region.polygon)
+        self.dump_anchor = polygon_centroid(dump_region.polygon)
+        mid_x = (self.dig_anchor[0] + self.dump_anchor[0]) / 2.0
+        mid_y = (self.dig_anchor[1] + self.dump_anchor[1]) / 2.0
+        self.body_center = (
+            min(max(mid_x, 150.0), config.width - 150.0),
+            min(max(mid_y + 250.0, 150.0), config.height - 150.0),
+        )
+        self.body_offset: list[Point] = []
+        self.probe: list[Point] = []
+        offset = _FACING_DUMP  # the lead-in swing heads for the dig area
+        probe = self.dump_anchor
+        arm_step = config.arm_step
+        for i, (state, first, last) in enumerate(phases):
+            n = last - first + 1
+            # Full scripted length; larger than n only for a phase the
+            # stream end cuts short, so motion keeps its natural pace.
+            n_scripted = scripted_frames[i] if scripted_frames else n
+            if state in (ActionState.DIGGING, ActionState.DUMPING):
+                anchor = (
+                    self.dig_anchor
+                    if state is ActionState.DIGGING
+                    else self.dump_anchor
+                )
+                for k in range(n):
+                    self.body_offset.append(offset)
+                    self.probe.append(
+                        (anchor[0], anchor[1] + arm_step * _OSC_WAVE[k % 8])
+                    )
+                probe = anchor
+            elif state is ActionState.IDLE:
+                frozen = self.probe[-1] if self.probe else probe
+                for _ in range(n):
+                    self.body_offset.append(offset)
+                    self.probe.append(frozen)
+            else:
+                target_offset = (
+                    _FACING_DIG
+                    if state is ActionState.SWING_FOR_DIGGING
+                    else _FACING_DUMP
+                )
+                target_probe = (
+                    self.dig_anchor
+                    if state is ActionState.SWING_FOR_DIGGING
+                    else self.dump_anchor
+                )
+                path = _overshoot_path(
+                    offset, target_offset, config.swing_speed * n_scripted
+                )
+                last_probe = probe
+                for k in range(n):
+                    self.body_offset.append(path(config.swing_speed * (k + 1)))
+                    t = (k + 1) / n_scripted
+                    last_probe = (
+                        probe[0] + (target_probe[0] - probe[0]) * t,
+                        probe[1] + (target_probe[1] - probe[1]) * t,
+                    )
+                    self.probe.append(last_probe)
+                offset = self.body_offset[-1] if n < n_scripted else target_offset
+                probe = last_probe if n < n_scripted else target_probe
+
+    def pose_points(self, frame: int) -> dict[str, Point]:
+        ox, oy = self.body_offset[frame]
+        bx = self.body_center[0] + ox
+        by = self.body_center[1] + oy
+        px, py = self.probe[frame]
+        points: dict[str, Point] = {}
+        for name, (cx, cy) in zip(("body1", "body2", "body3", "body4"), _BODY_CORNERS):
+            points[name] = (bx + cx, by + cy)
+        for name, (dx, dy) in _ARM_OFFSETS.items():
+            points[name] = (px + dx, py + dy)
+        points["boom_cylinder"] = (bx + (px - bx) * 0.45, by + (py - by) * 0.45 - 30.0)
+        points["boom_base"] = (bx + (px - bx) * 0.15, by + (py - by) * 0.15 - 20.0)
+        return points
+
+
+def _pose_bbox(points: dict[str, Point], config: ScenarioConfig) -> BBox:
+    xs = [p[0] for p in points.values()]
+    ys = [p[1] for p in points.values()]
+    x1 = max(0.0, min(xs) - _BBOX_MARGIN)
+    y1 = max(0.0, min(ys) - _BBOX_MARGIN)
+    x2 = min(float(config.width), max(xs) + _BBOX_MARGIN)
+    y2 = min(float(config.height), max(ys) + _BBOX_MARGIN)
+    return (x1, y1, x2 - x1, y2 - y1)
+
+
+def _clamp_bbox(bbox: BBox, width: int, height: int) -> BBox:
+    x, y, w, h = bbox
+    x = min(max(x, 0.0), width - w)
+    y = min(max(y, 0.0), height - h)
+    return (x, y, w, h)
+
+
+def compute_alert_frames(
+    probe_points: Sequence[Point],
+    machines: Sequence[MachineSpec],
+    regions: Sequence[Region],
+    fps: float,
+) -> list[int]:
+    """Frames on which the safety rule must alert, from scripted truth.
+
+    The excavator (track 0) is located by its pre-noise probe point;
+    roster machines by their bbox bottom-center while present.
+    """
+    anchors = [bbox_bottom_center(m.bbox) for m in machines]
+    frames: list[int] = []
+    for f, probe in enumerate(probe_points):
+        locations = {0: locate_point(probe, regions)}
+        classes = {0: MachineClass.EXCAVATOR}
+        for i, spec in enumerate(machines):
+            if spec.present(f):
+                locations[i + 1] = locate_point(anchors[i], regions)
+                classes[i + 1] = spec.cls
+        if check_collision(locations, classes, f, fps):
+            frames.append(f)
+    return frames
+
+
+def generate(config: ScenarioConfig) -> Simulation:
+    """Generate a stream plus ground truth; same config -> same bytes."""
+    rng = random.Random(config.seed)
+    script = _build_script(config, rng)
+    phases, n_frames, scripted_frames = _phase_frames(script, config)
+    for spec in config.machines:
+        if spec.entry_frame >= n_frames:
+            raise ValueError("machine entry_frame is beyond the stream end")
+    path = _ExcavatorPath(phases, config, scripted_frames)
+    header = StreamHeader(config.fps, config.width, config.height, config.source)
+    noise = config.noise
+
+    replay = ActionClassifier(config.regions, config.fps, config.activity)
+    frames: list[PerceptionFrame] = []
+    probe_points: list[Point] = []
+    for f in range(n_frames):
+        points = path.pose_points(f)
+        bbox = _pose_bbox(points, config)
+        probe_points.append(points["bucket_joint"])
+        true_pose = Pose(
+            {name: Keypoint(name, *points[name], 1.0) for name in KEYPOINT_NAMES}
+        )
+        replay.step(f, true_pose, bbox)
+
+        detections: list[Detection] = []
+        poses: list[tuple[int, Pose]] = []
+        dropped = noise.drop_prob > 0 and rng.random() < noise.drop_prob
+        if not dropped:
+            emitted = points
+            if noise.keypoint_sigma > 0:
+                emitted = {
+                    name: (
+                        x + rng.gauss(0.0, noise.keypoint_sigma),
+                        y + rng.gauss(0.0, noise.keypoint_sigma),
+                    )
+                    for name, (x, y) in points.items()
+                }
+            out_bbox = bbox
+            if noise.bbox_sigma > 0:
+                out_bbox = _clamp_bbox(
+                    (
+                        bbox[0] + rng.gauss(0.0, noise.bbox_sigma),
+                        bbox[1] + rng.gauss(0.0, noise.bbox_sigma),
+                        bbox[2],
+                        bbox[3],
+                    ),
+                    config.width,
+                    config.height,
+                )
+            detections.append(
+                Detection(MachineClass.EXCAVATOR, out_bbox, _EXCAVATOR_SCORE)
+            )
+            poses.append(
+                (
+                    0,
+                    Pose(
+                        {
+                            name: Keypoint(name, *emitted[name], 1.0)
+                            for name in KEYPOINT_NAMES
+                        }
+                    ),
+                )
+            )
+        for spec in config.machines:
+            if not spec.present(f):
+                continue
+            if noise.drop_prob > 0 and rng.random() < noise.drop_prob:
+                continue
+            detections.append(Detection(spec.cls, spec.bbox, _MACHINE_SCORE))
+        frames.append(PerceptionFrame(f, tuple(detections), tuple(poses)))
+
+    # Cycles follow the same ideal-perception convention as states: a
+    # scripted dig cut down to a stub by the stream end is below the
+    # rule resolution and closes no cycle.
+    cycles = detect_cycles(
+        build_timeline(replay.states, config.fps, config.activity.min_segment_s)
+    )
+    machines = tuple(
+        replace(m, exit_frame=n_frames - 1 if m.exit_frame is None else m.exit_frame)
+        for m in config.machines
+    )
+    truth = GroundTruth(
+        fps=config.fps,
+        states=[state for _, state in replay.states],
+        phases=phases,
+        cycles=cycles,
+        machines=machines,
+        alert_frames=compute_alert_frames(
+            probe_points, machines, config.regions, config.fps
+        ),
+    )
+    return Simulation(config, header, frames, truth, probe_points)
+
+
+def inject_collision(
+    sim: Simulation,
+    first_frame: int,
+    last_frame: int,
+    cls: MachineClass | str,
+    at: Point | None = None,
+) -> Simulation:
+    """Add a second machine's detections over a frame range.
+
+    The machine parks with its bbox bottom-center at ``at`` (default:
+    the digging-area centroid).  Ground-truth alert frames are
+    recomputed; states and cycles are untouched.  Returns a new
+    Simulation; the input is not modified.
+    """
+    try:
+        cls = MachineClass(cls)
+    except ValueError:
+        raise ValueError(f"unknown machine class {cls!r}") from None
+    n = len(sim.frames)
+    if not 0 <= first_frame <= last_frame < n:
+        raise ValueError("frame range outside the stream")
+    config = sim.config
+    if at is None:
+        dig = next(r for r in config.regions if r.label is RegionLabel.DIGGING)
+        at = polygon_centroid(dig.polygon)
+    w, h = (60.0, 160.0) if cls is MachineClass.HUMAN else (160.0, 120.0)
+    bbox = _clamp_bbox((at[0] - w / 2.0, at[1] - h, w, h), config.width, config.height)
+    spec = MachineSpec(cls, bbox, first_frame, last_frame)
+
+    frames = list(sim.frames)
+    for f in range(first_frame, last_frame + 1):
+        frame = frames[f]
+        frames[f] = PerceptionFrame(
+            frame.index,
+            frame.detections + (Detection(cls, bbox, _MACHINE_SCORE),),
+            frame.poses,
+        )
+    machines = sim.truth.machines + (spec,)
+    truth = GroundTruth(
+        fps=sim.truth.fps,
+        states=list(sim.truth.states),
+        phases=list(sim.truth.phases),
+        cycles=list(sim.truth.cycles),
+        machines=machines,
+        alert_frames=compute_alert_frames(
+            sim.probe_points, machines, config.regions, config.fps
+        ),
+    )
+    return Simulation(config, sim.header, frames, truth, list(sim.probe_points))
+
+
+def productivity_benchmark_config(seed: int = 0) -> ScenarioConfig:
+    """The 40-cycle, 900 s reference scenario (41 digging phases).
+
+    Phase periods are pinned at 8.0 + 3.2 + 8.1 + 3.2 = 22.5 s, so the
+    40 cycle starts span exactly 900 s and the cycle rate is exactly
+    160 per hour.
+    """
+    return ScenarioConfig(
+        seed=seed,
+        fps=25.0,
+        duration_s=925.0,  # ignored: cycle_count drives the length
+        cycle_count=40,
+        dig=DurationRange(8.0, 8.0),
+        swing=DurationRange(3.2, 3.2),
+        dump=DurationRange(8.1, 8.1),
+    )
+
+
+_SCENARIO_KEYS = {
+    "seed",
+    "fps",
+    "duration_s",
+    "width",
+    "height",
+    "source",
+    "regions",
+    "phases",
+    "idle_prob",
+    "cycle_count",
+    "swing_speed",
+    "arm_step",
+    "machines",
+    "noise",
+    "activity",
+    "inject",
+}
+_PHASE_KEYS = {"dig", "swing", "dump", "idle"}
+
+
+def _range_from_value(value, what: str) -> DurationRange:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{what} must be a [min_s, max_s] pair")
+    try:
+        return DurationRange(float(value[0]), float(value[1]))
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"invalid {what}: {exc}") from None
+
+
+def scenario_from_dict(obj: dict) -> tuple[ScenarioConfig, dict | None]:
+    """Build a ScenarioConfig from JSON; returns (config, inject spec)."""
+    expect_keys(obj, _SCENARIO_KEYS, set(), "scenario config")
+    kwargs: dict = {}
+    for key in (
+        "seed",
+        "fps",
+        "duration_s",
+        "width",
+        "height",
+        "source",
+        "idle_prob",
+        "cycle_count",
+        "swing_speed",
+        "arm_step",
+    ):
+        if key in obj:
+            kwargs[key] = obj[key]
+    if "regions" in obj:
+        kwargs["regions"] = tuple(region_from_dict(r) for r in obj["regions"])
+    if "phases" in obj:
+        phases = obj["phases"]
+        expect_keys(phases, _PHASE_KEYS, set(), "scenario phases")
+        for name in _PHASE_KEYS:
+            if name in phases:
+                kwargs[name] = _range_from_value(phases[name], f"phase range {name!r}")
+    if "machines" in obj:
+        specs = []
+        for m in obj["machines"]:
+            expect_keys(
+                m,
+                {"class", "bbox", "entry_frame", "exit_frame"},
+                {"class", "bbox"},
+                "scenario machine",
+            )
+            try:
+                specs.append(
+                    MachineSpec(
+                        m["class"],
+                        tuple(float(v) for v in m["bbox"]),
+                        m.get("entry_frame", 0),
+                        m.get("exit_frame"),
+                    )
+                )
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(f"invalid scenario machine: {exc}") from None
+        kwargs["machines"] = tuple(specs)
+    if "noise" in obj:
+        expect_keys(
+            obj["noise"],
+            {"keypoint_sigma", "drop_prob", "bbox_sigma"},
+            set(),
+            "scenario noise",
+        )
+        try:
+            kwargs["noise"] = NoiseModel(**obj["noise"])
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"invalid scenario noise: {exc}") from None
+    if "activity" in obj:
+        kwargs["activity"] = activity_from_dict(obj["activity"])
+    inject = obj.get("inject")
+    if inject is not None:
+        expect_keys(
+            inject,
+            {"class", "first_frame", "last_frame", "at"},
+            {"class", "first_frame", "last_frame"},
+            "scenario inject",
+        )
+    try:
+        return ScenarioConfig(**kwargs), inject
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"invalid scenario config: {exc}") from None
+
+
+def scenario_to_dict(config: ScenarioConfig) -> dict:
+    phases = {
+        "dig": [config.dig.min_s, config.dig.max_s],
+        "swing": [config.swing.min_s, config.swing.max_s],
+        "dump": [config.dump.min_s, config.dump.max_s],
+    }
+    if config.idle is not None:
+        phases["idle"] = [config.idle.min_s, config.idle.max_s]
+    out = {
+        "seed": config.seed,
+        "fps": config.fps,
+        "duration_s": config.duration_s,
+        "width": config.width,
+        "height": config.height,
+        "source": config.source,
+        "regions": [region_to_dict(r) for r in config.regions],
+        "phases": phases,
+        "idle_prob": config.idle_prob,
+        "swing_speed": config.swing_speed,
+        "arm_step": config.arm_step,
+        "machines": [
+            {
+                "class": m.cls.value,
+                "bbox": list(m.bbox),
+                "entry_frame": m.entry_frame,
+                "exit_frame": m.exit_frame,
+            }
+            for m in config.machines
+        ],
+        "noise": {
+            "keypoint_sigma": config.noise.keypoint_sigma,
+            "drop_prob": config.noise.drop_prob,
+            "bbox_sigma": config.noise.bbox_sigma,
+        },
+        "activity": activity_to_dict(config.activity),
+    }
+    if config.cycle_count is not None:
+        out["cycle_count"] = config.cycle_count
+    return out
+
+
+def load_scenario(path) -> tuple[ScenarioConfig, dict | None]:
+    return scenario_from_dict(load_json_config(path, "scenario config"))
+
+
+def run_scenario(config: ScenarioConfig, inject: dict | None = None) -> Simulation:
+    """Generate and optionally apply the inject spec from a config file."""
+    sim = generate(config)
+    if inject is not None:
+        at = inject.get("at")
+        try:
+            sim = inject_collision(
+                sim,
+                int(inject["first_frame"]),
+                int(inject["last_frame"]),
+                inject["class"],
+                tuple(at) if at is not None else None,
+            )
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"invalid inject spec: {exc}") from None
+    return sim
