@@ -251,12 +251,15 @@ def _eval_action(args) -> list[tuple[str, str]]:
 
 
 def cmd_eval(args) -> int:
-    if args.task == "det":
-        rows = _eval_det(args)
-    elif args.task == "pose":
-        rows = _eval_pose(args)
-    else:
-        rows = _eval_action(args)
+    # Both streams' frames stay alive while the matches are built; none
+    # of them is in a reference cycle, and they are freed inside the block.
+    with cyclic_gc_paused():
+        if args.task == "det":
+            rows = _eval_det(args)
+        elif args.task == "pose":
+            rows = _eval_pose(args)
+        else:
+            rows = _eval_action(args)
     for name, value in rows:
         print(f"{name},{value}")
     if args.out:

@@ -293,17 +293,25 @@ def bbox_iou(a: BBox, b: BBox) -> float:
     """
     ax, ay, aw, ah = a
     bx, by, bw, bh = b
-    ax2, ay2 = ax + aw, ay + ah
-    bx2, by2 = bx + bw, by + bh
-    iw = min(ax2, bx2) - max(ax, bx)
-    ih = min(ay2, by2) - max(ay, by)
-    if iw <= 0 or ih <= 0:
+    # min and max are written out with the builtins' tie rules, since
+    # this runs for every same-class pair in soft-NMS and the tracker:
+    # min(p, q) is ``q if q < p else p``, max(p, q) is ``q if q > p else p``.
+    ax2 = ax + aw
+    bx2 = bx + bw
+    iw = (bx2 if bx2 < ax2 else ax2) - (bx if bx > ax else ax)
+    if iw <= 0:
+        return 0.0
+    ay2 = ay + ah
+    by2 = by + bh
+    ih = (by2 if by2 < ay2 else ay2) - (by if by > ay else ay)
+    if ih <= 0:
         return 0.0
     inter = iw * ih
     union = (ax2 - ax) * (ay2 - ay) + (bx2 - bx) * (by2 - by) - inter
     if union <= 0:
         return 0.0
-    return min(1.0, inter / union)
+    iou = inter / union
+    return iou if iou < 1.0 else 1.0
 
 
 def bbox_bottom_center(bbox: BBox) -> Point:

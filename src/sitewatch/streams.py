@@ -144,8 +144,9 @@ class Pose:
         return self.keypoints[name].confidence
 
 
-@dataclass(frozen=True, slots=True)
-class Detection:
+class Detection(NamedTuple):
+    """One detector box; an immutable tuple (cls, bbox, score)."""
+
     cls: MachineClass
     bbox: BBox
     score: float
@@ -170,11 +171,18 @@ class StreamHeader:
 
 def _is_number(v) -> bool:
     # Exact type checks: JSON values are always plain int/float/bool, and
-    # bool must not pass as a number.
+    # bool must not pass as a number.  JSON integers have no size limit,
+    # so an int must also fit in a float.
     t = type(v)
     if t is float:
         return math.isfinite(v)
-    return t is int
+    if t is not int:
+        return False
+    try:
+        float(v)
+    except OverflowError:
+        return False
+    return True
 
 
 def _is_int(v) -> bool:
@@ -214,21 +222,37 @@ def _parse_header(obj, line_no: int) -> StreamHeader:
 
 def _parse_detection(obj, header: StreamHeader, line_no: int) -> Detection:
     _require_keys(obj, _DETECTION_KEYS, "detection", line_no)
-    cls = _CLASS_VALUES.get(obj["class"])
+    name = obj["class"]
+    cls = _CLASS_VALUES.get(name) if type(name) is str else None
     if cls is None:
-        raise StreamFormatError(f"unknown class {obj['class']!r}", line_no)
+        raise StreamFormatError(f"unknown class {name!r}", line_no)
     bbox = obj["bbox"]
-    if not isinstance(bbox, list) or len(bbox) != 4 or not all(map(_is_number, bbox)):
+    if type(bbox) is not list or len(bbox) != 4:
         raise StreamFormatError("bbox must be [x, y, w, h] numbers", line_no)
-    x, y, w, h = float(bbox[0]), float(bbox[1]), float(bbox[2]), float(bbox[3])
+    x, y, w, h = bbox
+    isfinite = math.isfinite
+    # _is_number on each value, with all-float boxes (the usual case)
+    # tested inline.
+    if float is type(x) is type(y) is type(w) is type(h):
+        valid = isfinite(x) and isfinite(y) and isfinite(w) and isfinite(h)
+    else:
+        valid = _is_number(x) and _is_number(y) and _is_number(w) and _is_number(h)
+        if valid:
+            x, y, w, h = float(x), float(y), float(w), float(h)
+    if not valid:
+        raise StreamFormatError("bbox must be [x, y, w, h] numbers", line_no)
     if w <= 0 or h <= 0:
         raise StreamFormatError("bbox width and height must be positive", line_no)
     if x < 0 or y < 0 or x + w > header.width or y + h > header.height:
         raise StreamFormatError("bbox exceeds the image extent", line_no)
     score = obj["score"]
-    if not _is_number(score) or not 0.0 <= score <= 1.0:
+    if type(score) is not float and _is_number(score):
+        score = float(score)
+    # The range test also rejects nan and inf.
+    if type(score) is not float or not 0.0 <= score <= 1.0:
         raise StreamFormatError("score must be a number in [0, 1]", line_no)
-    return Detection(cls, (x, y, w, h), float(score))
+    # Detection(cls, bbox, score) without the Python-level __new__ frame.
+    return tuple.__new__(Detection, (cls, (x, y, w, h), score))
 
 
 def _parse_pose(obj, detections: Sequence[Detection], line_no: int) -> tuple[int, Pose]:
@@ -485,7 +509,7 @@ def soft_nms_indexed(
             pool.remove(best)
             idx, det, score = best
             if score != det.score:
-                det = Detection(det.cls, det.bbox, score)
+                det = tuple.__new__(Detection, (det.cls, det.bbox, score))
             kept.append((idx, det))
             survivors = []
             for row in pool:

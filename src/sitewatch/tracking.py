@@ -38,20 +38,24 @@ class IouTracker:
 
     def update(self, detections: Sequence[Detection]) -> dict[int, int]:
         """Consume one frame; returns detection index -> track id."""
+        # A track is only ever scored against detections of its class.
+        by_class: dict[MachineClass, list[tuple[int, BBox]]] = {}
+        for di, det in enumerate(detections):
+            by_class.setdefault(det.cls, []).append((di, det.bbox))
+        threshold = self.iou_threshold
         pairs = []
         for ti, track in enumerate(self.tracks):
-            for di, det in enumerate(detections):
-                if det.cls is not track.cls:
-                    continue
-                iou = bbox_iou(track.bbox, det.bbox)
-                if iou >= self.iou_threshold:
-                    pairs.append((iou, di, ti))
+            bbox = track.bbox
+            for di, det_bbox in by_class.get(track.cls, ()):
+                iou = bbox_iou(bbox, det_bbox)
+                if iou >= threshold:
+                    pairs.append((-iou, di, ti))
         # Highest IoU first; ties resolve to the earliest detection, then
         # the oldest track, so the outcome is order-independent.
-        pairs.sort(key=lambda p: (-p[0], p[1], p[2]))
+        pairs.sort()
         assignment: dict[int, int] = {}
         matched_tracks: set[int] = set()
-        for iou, di, ti in pairs:
+        for _, di, ti in pairs:
             if di in assignment or ti in matched_tracks:
                 continue
             track = self.tracks[ti]
@@ -76,11 +80,3 @@ class IouTracker:
                     survivors.append(track)
         self.tracks = survivors + new_tracks
         return assignment
-
-
-def track_update(
-    tracker: IouTracker, detections: Sequence[Detection]
-) -> tuple[list[Track], dict[int, int]]:
-    """Step a tracker and return (live tracks, detection assignment)."""
-    assignment = tracker.update(detections)
-    return tracker.tracks, assignment

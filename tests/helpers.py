@@ -201,6 +201,23 @@ def rect_iou(a, b) -> float:
     return inter / (aw * ah + bw * bh - inter)
 
 
+def minmax_bbox_iou(a, b) -> float:
+    """Reference IoU: bbox_iou's arithmetic, spelled with min and max."""
+    ax, ay, aw, ah = a
+    bx, by, bw, bh = b
+    ax2, ay2 = ax + aw, ay + ah
+    bx2, by2 = bx + bw, by + bh
+    iw = min(ax2, bx2) - max(ax, bx)
+    ih = min(ay2, by2) - max(ay, by)
+    if iw <= 0 or ih <= 0:
+        return 0.0
+    inter = iw * ih
+    union = (ax2 - ax) * (ay2 - ay) + (bx2 - bx) * (by2 - by) - inter
+    if union <= 0:
+        return 0.0
+    return min(1.0, inter / union)
+
+
 def naive_soft_nms(detections, iou_threshold=0.3, decay=0.5, score_floor=0.001):
     """Pool-based reference suppression; returns [(orig index, score)].
 

@@ -1,6 +1,8 @@
 """Site config parsing: defaults, round trips, and loud rejection."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -147,3 +149,19 @@ def test_config_exit_code_is_two():
         site_config_from_dict({})
     except ConfigError as exc:
         assert exc.exit_code == 2
+
+
+def _readme_section(title):
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    start = text.index(f"\n## {title}\n")
+    end = text.find("\n## ", start + 1)
+    return text[start:] if end < 0 else text[start:end]
+
+
+def test_readme_site_configuration_blocks_load(tmp_path):
+    blocks = re.findall(r"```json\n(.*?)```", _readme_section("Site configuration"), re.S)
+    assert blocks
+    for i, block in enumerate(blocks):
+        path = tmp_path / f"site{i}.json"
+        path.write_text(block, encoding="utf-8")
+        assert isinstance(load_site_config(path), SiteConfig)

@@ -34,6 +34,7 @@ from helpers import (
     convex_contains,
     distance_to_boundary,
     make_pose,
+    minmax_bbox_iou,
     random_convex_polygon,
 )
 
@@ -222,6 +223,46 @@ def test_bbox_iou_identity_disjoint_and_partial():
     assert bbox_iou((0.0, 0.0, 1.0, 1.0), (0.5, 0.0, 1.0, 1.0)) == 1.0 / 3.0
     # Shared edge only: zero-area intersection.
     assert bbox_iou((0.0, 0.0, 1.0, 1.0), (1.0, 0.0, 1.0, 1.0)) == 0.0
+
+
+_IOU_EDGE_CASES = [
+    ((0.0, 0.0, 1.0, 1.0), (1.0, 0.0, 1.0, 1.0)),  # touching x edge
+    ((0.0, 0.0, 1.0, 1.0), (0.0, 1.0, 1.0, 1.0)),  # touching y edge
+    ((0.0, 0.0, 1.0, 1.0), (1.0, 1.0, 1.0, 1.0)),  # touching corner
+    ((0.0, 0.0, 1.0, 1.0), (0.5, 1.0, 1.0, 1.0)),  # x overlap, y touch
+    ((3.0, 4.0, 10.0, 20.0), (3.0, 4.0, 10.0, 20.0)),  # identical
+    ((0.1, 0.2, 0.3, 0.7), (0.1, 0.2, 0.3, 0.7)),  # identical, inexact sums
+    ((0.0, 0.0, 100.0, 100.0), (10.0, 20.0, 30.0, 40.0)),  # containment
+    ((10.0, 20.0, 30.0, 40.0), (0.0, 0.0, 100.0, 100.0)),
+    ((0.0, 0.0, 100.0, 50.0), (0.0, 0.0, 100.0, 25.0)),  # shared edges
+    ((-0.0, 0.0, 2.0, 2.0), (0.0, -0.0, 2.0, 2.0)),  # signed zeros
+    ((5.0, 5.0, 4.0, 4.0), (1.0, 1.0, 4.0, 4.0)),  # touching corner, a after b
+    ((1e15, 1e15, 1.0, 1.0), (1e15 + 0.5, 1e15, 1.0, 1.0)),
+    ((0.0, 0.0, 1e-300, 1e-300), (0.0, 0.0, 1e-300, 1e-300)),  # underflowing area
+]
+
+
+def _random_iou_box(rng):
+    if rng.random() < 0.5:  # integer-valued floats: equal edges are common
+        return tuple(float(rng.randrange(lo, 12)) for lo in (0, 0, 1, 1))
+    return (
+        rng.uniform(-50.0, 50.0),
+        rng.uniform(-50.0, 50.0),
+        rng.uniform(1e-6, 60.0),
+        rng.uniform(1e-6, 60.0),
+    )
+
+
+def test_bbox_iou_equals_the_min_max_formula():
+    rng = random.Random(23)
+    cases = list(_IOU_EDGE_CASES)
+    cases += [(_random_iou_box(rng), _random_iou_box(rng)) for _ in range(20000)]
+    for a, b in cases:
+        for p, q in ((a, b), (b, a)):
+            got = bbox_iou(p, q)
+            expected = minmax_bbox_iou(p, q)
+            assert got == expected, (p, q)
+            assert math.copysign(1.0, got) == math.copysign(1.0, expected), (p, q)
 
 
 finite_boxes = st.tuples(

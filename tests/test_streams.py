@@ -89,6 +89,50 @@ def test_lenient_mode_skips_and_counts_bad_frames():
     assert parser.skipped == 2
 
 
+_HUGE = "1" + "0" * 400  # a JSON integer beyond float range
+
+
+def _detection(bbox="[10.0,20.0,200.0,100.0]", score="0.9", cls='"excavator"'):
+    return f'[{{"class":{cls},"bbox":{bbox},"score":{score}}}]'
+
+
+def _pose(x="10.0", conf="0.9"):
+    kps = ",".join(f'"{name}":[{x},20.0,{conf}]' for name in KEYPOINT_NAMES)
+    return f'[{{"det":0,"keypoints":{{{kps}}}}}]'
+
+
+@pytest.mark.parametrize(
+    "detections,poses",
+    [
+        (_detection(bbox=f"[{_HUGE},20.0,200.0,100.0]"), "[]"),
+        (_detection(bbox=f"[10.0,20.0,-{_HUGE},100.0]"), "[]"),
+        (_detection(score=_HUGE), "[]"),
+        (_detection(cls='["excavator"]'), "[]"),
+        (_detection(cls='{"name":"excavator"}'), "[]"),
+        (_detection(), _pose(x=_HUGE)),
+        (_detection(), _pose(conf=_HUGE)),
+    ],
+    ids=["bbox_x", "bbox_w", "score", "class_list", "class_object", "keypoint_x", "keypoint_conf"],
+)
+def test_out_of_range_integers_and_unhashable_classes_are_format_errors(detections, poses):
+    bad = frame_line(1, detections, poses)
+    with pytest.raises(StreamFormatError) as err:
+        list(parse_stream([_H, frame_line(0), "", bad]))
+    assert "line 4" in str(err.value)
+    parser = parse_stream([_H, frame_line(0), bad, frame_line(2)], strict=False)
+    assert [f.index for f in parser] == [0, 2]
+    assert parser.skipped == 1
+
+
+def test_integers_that_fit_a_float_still_parse():
+    line = frame_line(0, _detection(bbox="[10,20,200,100]", score="1"), _pose(x="10"))
+    (frame,) = parse_stream([_H, line])
+    assert frame.detections == (Detection(MachineClass.EXCAVATOR, (10.0, 20.0, 200.0, 100.0), 1.0),)
+    assert all(type(v) is float for v in frame.detections[0].bbox)
+    assert type(frame.detections[0].score) is float
+    assert frame.poses[0][1].keypoints["body1"] == Keypoint("body1", 10.0, 20.0, 0.9)
+
+
 def test_lenient_mode_still_requires_a_valid_header():
     with pytest.raises(StreamFormatError):
         parse_stream(["{bad"], strict=False)

@@ -5,9 +5,10 @@ import random
 import pytest
 
 from sitewatch.streams import Detection, MachineClass
-from sitewatch.tracking import IouTracker, Track, track_update
+import sitewatch.tracking as tracking
+from sitewatch.tracking import IouTracker, Track
 
-from helpers import make_detection, random_bbox
+from helpers import make_detection, minmax_bbox_iou, random_bbox
 
 
 def test_single_machine_keeps_one_id_while_moving():
@@ -115,13 +116,116 @@ def test_update_is_independent_of_detection_order():
         assert a2[pos] == a1[i]
 
 
-def test_track_update_wrapper_returns_live_tracks():
+def test_update_leaves_the_live_tracks_on_the_tracker():
     tracker = IouTracker()
-    tracks, assignment = track_update(tracker, [make_detection()])
+    assignment = tracker.update([make_detection()])
+    tracks = tracker.tracks
     assert assignment == {0: 1}
     assert len(tracks) == 1
     assert isinstance(tracks[0], Track)
     assert tracks[0].cls is MachineClass.EXCAVATOR
+
+
+class _AllPairsTracker:
+    """The tracker's rules restated as a scan of every (track, detection) pair."""
+
+    def __init__(self, iou_threshold, miss_cap, calls):
+        self.iou_threshold = iou_threshold
+        self.miss_cap = miss_cap
+        self.calls = calls
+        self.tracks = []  # [track_id, cls, bbox, misses]
+        self.next_id = 1
+
+    def update(self, detections):
+        pairs = []
+        for ti, (_, cls, bbox, _) in enumerate(self.tracks):
+            for di, det in enumerate(detections):
+                if det.cls is not cls:
+                    continue
+                self.calls.append((bbox, det.bbox))
+                iou = minmax_bbox_iou(bbox, det.bbox)
+                if iou >= self.iou_threshold:
+                    pairs.append((iou, di, ti))
+        pairs.sort(key=lambda p: (-p[0], p[1], p[2]))
+        assignment = {}
+        matched = set()
+        for _, di, ti in pairs:
+            if di in assignment or ti in matched:
+                continue
+            track = self.tracks[ti]
+            track[2] = detections[di].bbox
+            track[3] = 0
+            assignment[di] = track[0]
+            matched.add(ti)
+        opened = []
+        for di, det in enumerate(detections):
+            if di not in assignment:
+                opened.append([self.next_id, det.cls, det.bbox, 0])
+                assignment[di] = self.next_id
+                self.next_id += 1
+        survivors = []
+        for ti, track in enumerate(self.tracks):
+            if ti not in matched:
+                track[3] += 1
+                if track[3] >= self.miss_cap:
+                    continue
+            survivors.append(track)
+        self.tracks = survivors + opened
+        return assignment
+
+
+_CLASSES = [MachineClass.EXCAVATOR, MachineClass.LOADER, MachineClass.HUMAN]
+
+
+def _crowded_frame(rng, previous):
+    """Boxes on a coarse grid (exact IoU ties), some repeated from the last
+    frame or repeated under another class, sometimes none at all."""
+    if rng.random() < 0.1:
+        return []
+    detections = []
+    for _ in range(rng.randrange(0, 9)):
+        roll = rng.random()
+        if previous and roll < 0.3:
+            detections.append(rng.choice(previous))
+        elif previous and roll < 0.4:
+            det = rng.choice(previous)
+            detections.append(Detection(rng.choice(_CLASSES), det.bbox, det.score))
+        else:
+            box = (
+                20.0 * rng.randrange(0, 8),
+                20.0 * rng.randrange(0, 8),
+                20.0 * rng.randrange(1, 5),
+                20.0 * rng.randrange(1, 5),
+            )
+            detections.append(Detection(rng.choice(_CLASSES), box, 0.9))
+    return detections
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_update_matches_the_all_pairs_rules(seed, monkeypatch):
+    rng = random.Random(seed)
+    iou_threshold = rng.choice([0.0, 0.1, 0.3, 0.5, 1.0])
+    miss_cap = rng.choice([1, 2, 3, 25])
+    calls = []
+    bbox_iou = tracking.bbox_iou
+
+    def counted_iou(a, b):
+        calls.append((a, b))
+        return bbox_iou(a, b)
+
+    monkeypatch.setattr(tracking, "bbox_iou", counted_iou)
+    tracker = IouTracker(iou_threshold, miss_cap)
+    reference_calls = []
+    reference = _AllPairsTracker(iou_threshold, miss_cap, reference_calls)
+    detections = []
+    for _ in range(60):
+        detections = _crowded_frame(rng, detections)
+        del calls[:], reference_calls[:]
+        assert tracker.update(detections) == reference.update(detections)
+        assert calls == reference_calls
+        assert [
+            [t.track_id, t.cls, t.bbox, t.misses] for t in tracker.tracks
+        ] == reference.tracks
 
 
 def test_constructor_validation():
