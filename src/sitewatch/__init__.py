@@ -9,7 +9,6 @@ from .activity import (
     ActivityConfig,
     MotionWindow,
     TimelineSegment,
-    body_motion,
     build_timeline,
     is_still,
     step_state,

@@ -101,14 +101,6 @@ class MotionWindow:
         return total / (len(steps) * len(steps[0]))
 
 
-def body_motion(window: MotionWindow) -> float:
-    """Mean per-frame displacement over the window; raises when underfull."""
-    value = window.motion()
-    if value is None:
-        raise ValueError("motion window needs at least 2 entries")
-    return value
-
-
 def is_still(motion: float, threshold: float) -> bool:
     """Strictly below the threshold counts as still."""
     if threshold <= 0:
@@ -177,7 +169,12 @@ class ActivityConfig:
 
 
 class ActionClassifier:
-    """Per-track action state machine over frame-ordered pose observations."""
+    """Per-track action state machine over frame-ordered pose observations.
+
+    The state history is kept as runs, ``[state, first_frame,
+    last_frame]``, each over consecutive observed frames in one state,
+    so it grows with state changes and observation gaps, not frames.
+    """
 
     def __init__(
         self,
@@ -191,11 +188,17 @@ class ActionClassifier:
         self.fps = fps
         self.config = config or ActivityConfig()
         self.state = ActionState.UNKNOWN
-        self.states: list[tuple[int, ActionState]] = []
+        self.runs: list[list] = []
+        self.observed_frames = 0
         self._body = MotionWindow(self.config.motion_window)
         self._arm = MotionWindow(self.config.motion_window)
         self._still_frames = 0
         self._last_frame: int | None = None
+
+    @property
+    def states(self) -> list[tuple[int, ActionState]]:
+        """The (frame index, state) pair of every observed frame."""
+        return expand_runs(self.runs)
 
     def _threshold(self, bbox: BBox | None) -> float:
         if self.config.stillness_mode == "px":
@@ -208,45 +211,63 @@ class ActionClassifier:
         self, frame_index: int, pose: Pose | None, bbox: BBox | None = None
     ) -> ActionState:
         """Advance one frame; a None pose holds state and resets history."""
-        if self._last_frame is not None and frame_index <= self._last_frame:
+        last_frame = self._last_frame
+        if last_frame is not None and frame_index <= last_frame:
             raise ValueError("frame indices must be strictly increasing")
+        self._last_frame = frame_index
         if pose is None:
             self._body.reset()
             self._arm.reset()
             self._still_frames = 0
-            self._last_frame = frame_index
-            self.states.append((frame_index, self.state))
-            return self.state
-        if self._last_frame is not None and frame_index != self._last_frame + 1:
-            self._still_frames = 0
-        self._last_frame = frame_index
-        kps = pose.keypoints
-        self._body.push(frame_index, [kps[n].point for n in BODY_KEYPOINTS])
-        self._arm.push(frame_index, [kps[n].point for n in ARM_KEYPOINTS])
-        body = self._body.motion()
-        arm = self._arm.motion()
-        if body is None or arm is None:
-            self._still_frames = 0
         else:
-            threshold = self._threshold(bbox)
-            body_still = is_still(body, threshold)
-            arm_still = is_still(arm, threshold)
-            if body_still and arm_still:
-                self._still_frames += 1
-            else:
+            if last_frame is not None and frame_index != last_frame + 1:
                 self._still_frames = 0
-            loc = classify_location(pose, self.regions, self.config.probe_conf_floor)
-            if loc is not None:
-                self.state = step_state(
-                    self.state,
-                    loc,
-                    body_still,
-                    arm_still,
-                    self._still_frames / self.fps,
-                    self.config.idle_grace_s,
+            kps = pose.keypoints
+            self._body.push(frame_index, [kps[n].point for n in BODY_KEYPOINTS])
+            self._arm.push(frame_index, [kps[n].point for n in ARM_KEYPOINTS])
+            body = self._body.motion()
+            arm = self._arm.motion()
+            if body is None or arm is None:
+                self._still_frames = 0
+            else:
+                threshold = self._threshold(bbox)
+                body_still = is_still(body, threshold)
+                arm_still = is_still(arm, threshold)
+                if body_still and arm_still:
+                    self._still_frames += 1
+                else:
+                    self._still_frames = 0
+                loc = classify_location(
+                    pose, self.regions, self.config.probe_conf_floor
                 )
-        self.states.append((frame_index, self.state))
-        return self.state
+                if loc is not None:
+                    self.state = step_state(
+                        self.state,
+                        loc,
+                        body_still,
+                        arm_still,
+                        self._still_frames / self.fps,
+                        self.config.idle_grace_s,
+                    )
+        state = self.state
+        self.observed_frames += 1
+        # Extend the open run when this frame follows it in its state;
+        # the open run always ends at last_frame.
+        runs = self.runs
+        if runs and runs[-1][0] is state and last_frame == frame_index - 1:
+            runs[-1][2] = frame_index
+        else:
+            runs.append([state, frame_index, frame_index])
+        return state
+
+
+def expand_runs(runs: Iterable[Sequence]) -> list[tuple[int, ActionState]]:
+    """Expand ``(state, first_frame, last_frame)`` runs into per-frame pairs."""
+    return [
+        (frame, state)
+        for state, first, last in runs
+        for frame in range(first, last + 1)
+    ]
 
 
 @dataclass(frozen=True)
@@ -261,10 +282,9 @@ class TimelineSegment:
 
 @dataclass
 class ActionTimeline:
-    """Per-frame states plus their run-length segments."""
+    """Debounced activity segments over the observed frame range."""
 
     fps: float
-    states: list[tuple[int, ActionState]]
     segments: list[TimelineSegment]
 
     @property
@@ -298,44 +318,51 @@ class ActionTimeline:
 
 
 def build_timeline(
-    states: Sequence[tuple[int, ActionState]] | Sequence[ActionState],
+    states: Iterable[Sequence] | Iterable[ActionState],
     fps: float,
     min_duration: float = 0.5,
 ) -> ActionTimeline:
-    """Run-length encode per-frame states into a debounced timeline.
+    """Debounce a state history into a timeline of segments.
 
-    Accepts (frame index, state) pairs or bare states indexed from 0.
-    Runs shorter than min_duration are absorbed into the preceding
-    segment; a short leading run (which has no preceding segment, e.g.
-    the warm-up) is absorbed into the following one instead.  Equal
-    neighbors merge.  Gaps between observed frames extend the earlier
-    segment, so the segments partition the full observed frame range.
+    Accepts ``(state, first_frame, last_frame)`` runs, as kept by
+    ``ActionClassifier.runs``, or (frame index, state) pairs, or bare
+    states indexed from 0; pairs and states are run-length encoded as
+    they are read.  Runs shorter than min_duration are absorbed into the
+    preceding segment; a short leading run (which has no preceding
+    segment, e.g. the warm-up) is absorbed into the following one
+    instead.  Equal neighbors merge.  Gaps between observed frames
+    extend the earlier segment, so the segments partition the full
+    observed frame range.
     """
     if fps <= 0:
         raise ValueError("fps must be positive")
     if min_duration < 0:
         raise ValueError("min_duration must be non-negative")
-    pairs: list[tuple[int, ActionState]] = []
+    runs: list[list] = []
     for i, item in enumerate(states):
         if isinstance(item, ActionState):
-            pairs.append((i, item))
+            state, first, last = item, i, i
+        elif len(item) == 3:
+            state, first, last = ActionState(item[0]), int(item[1]), int(item[2])
+            if last < first:
+                raise ValueError("a run must not end before it starts")
         else:
             frame, state = item
-            pairs.append((int(frame), ActionState(state)))
-    if not pairs:
-        return ActionTimeline(fps, [], [])
-    for (a, _), (b, _) in zip(pairs, pairs[1:]):
-        if b <= a:
-            raise ValueError("frame indices must be strictly increasing")
+            state, first = ActionState(state), int(frame)
+            last = first
+        if runs:
+            previous = runs[-1]
+            if first <= previous[2]:
+                raise ValueError("frame indices must be strictly increasing")
+            if previous[0] is state:
+                previous[2] = last
+                continue
+        runs.append([state, first, last])
+    if not runs:
+        return ActionTimeline(fps, [])
 
-    # Run-length encode, then stitch each run's end out to the next
-    # run's start so gaps stay covered by the state that was held.
-    runs: list[list] = []
-    for frame, state in pairs:
-        if runs and runs[-1][0] is state:
-            runs[-1][2] = frame
-        else:
-            runs.append([state, frame, frame])
+    # Stitch each run's end out to the next run's start so gaps stay
+    # covered by the state that was held.
     for current, following in zip(runs, runs[1:]):
         current[2] = following[1] - 1
 
@@ -364,7 +391,7 @@ def build_timeline(
         )
         for state, start, end in merged
     ]
-    return ActionTimeline(fps, list(pairs), segments)
+    return ActionTimeline(fps, segments)
 
 
 TIMELINE_CSV_FIELDS = ("segment", "start_s", "end_s", "state")
@@ -379,7 +406,7 @@ def write_timeline_csv(timeline: ActionTimeline, path) -> None:
 
 
 def read_timeline_csv(path, fps: float) -> ActionTimeline:
-    """Rebuild a timeline from its CSV export (segments only, no states)."""
+    """Rebuild a timeline from its CSV export."""
     segments: list[TimelineSegment] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -401,4 +428,4 @@ def read_timeline_csv(path, fps: float) -> ActionTimeline:
     for a, b in zip(segments, segments[1:]):
         if b.start_frame != a.end_frame + 1:
             raise ValueError("timeline CSV segments must be contiguous")
-    return ActionTimeline(fps, [], segments)
+    return ActionTimeline(fps, segments)

@@ -106,7 +106,7 @@ def _analyze_one(stream_path: Path, site, out: Path, strict: bool) -> None:
     timeline = (
         result.timelines[result.primary_track]
         if result.primary_track is not None
-        else ActionTimeline(fps, [], [])
+        else ActionTimeline(fps, [])
     )
     write_timeline_csv(timeline, out / "timeline.csv")
     write_cycles_csv(result.cycles, fps, out / "cycles.csv")
@@ -146,11 +146,13 @@ def cmd_report(args) -> int:
         timeline = read_timeline_csv(timeline_path, fps)
     except ValueError as exc:
         raise StreamFormatError(f"{timeline_path}: {exc}") from None
-    if args.volume is not None or args.full_rate is not None:
-        volume = args.volume if args.volume is not None else 0.4
-        full_rate = args.full_rate if args.full_rate is not None else 1.0
-    else:
-        volume, full_rate = _report_params_from_csv(src / "report.csv")
+    # Each flag overrides its own value only; the other comes from the
+    # analysis's report.csv.
+    volume, full_rate = _report_params_from_csv(src / "report.csv")
+    if args.volume is not None:
+        volume = args.volume
+    if args.full_rate is not None:
+        full_rate = args.full_rate
     report = build_report(timeline, volume, full_rate, args.rate_denominator)
     out = Path(args.out) if args.out else src
     out.mkdir(parents=True, exist_ok=True)

@@ -12,7 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .activity import ActionClassifier, ActionState, ActionTimeline, build_timeline
+from .activity import (
+    ActionClassifier,
+    ActionState,
+    ActionTimeline,
+    build_timeline,
+    expand_runs,
+)
 from .config import SiteConfig
 from .productivity import CycleRecord, ProductivityReport, build_report, detect_cycles
 from .safety import Alert, PauseSignal, SafetyMonitor
@@ -32,7 +38,7 @@ class AnalysisResult:
     frame_count: int
     skipped: int
     track_classes: dict[int, MachineClass]
-    states: dict[int, list[tuple[int, ActionState]]]  # raw per-frame log
+    runs: dict[int, list[tuple[ActionState, int, int]]]  # (state, first, last)
     timelines: dict[int, ActionTimeline]
     primary_track: int | None
     cycles: list[CycleRecord]
@@ -40,6 +46,11 @@ class AnalysisResult:
     alerts: list[Alert]
     pause: PauseSignal
     pause_events: list[tuple[str, int]]
+
+    @property
+    def states(self) -> dict[int, list[tuple[int, ActionState]]]:
+        """Each track's (frame index, state) pairs, expanded from its runs."""
+        return {tid: expand_runs(runs) for tid, runs in self.runs.items()}
 
 
 class StreamAnalyzer:
@@ -90,7 +101,7 @@ class StreamAnalyzer:
     def finish(self, skipped: int = 0) -> AnalysisResult:
         timelines = {
             track_id: build_timeline(
-                classifier.states, self.header.fps, self.site.activity.min_segment_s
+                classifier.runs, self.header.fps, self.site.activity.min_segment_s
             )
             for track_id, classifier in self._classifiers.items()
         }
@@ -98,12 +109,12 @@ class StreamAnalyzer:
         if self._classifiers:
             primary = max(
                 self._classifiers,
-                key=lambda tid: (len(self._classifiers[tid].states), -tid),
+                key=lambda tid: (self._classifiers[tid].observed_frames, -tid),
             )
         primary_timeline = (
             timelines[primary]
             if primary is not None
-            else ActionTimeline(self.header.fps, [], [])
+            else ActionTimeline(self.header.fps, [])
         )
         report = build_report(
             primary_timeline,
@@ -116,8 +127,9 @@ class StreamAnalyzer:
             frame_count=self.frame_count,
             skipped=skipped,
             track_classes=dict(self.track_classes),
-            states={
-                tid: list(c.states) for tid, c in self._classifiers.items()
+            runs={
+                tid: [tuple(run) for run in c.runs]
+                for tid, c in self._classifiers.items()
             },
             timelines=timelines,
             primary_track=primary,

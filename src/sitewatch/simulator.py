@@ -593,7 +593,7 @@ def _simulate(config: ScenarioConfig) -> Simulation:
     # scripted dig cut down to a stub by the stream end is below the
     # rule resolution and closes no cycle.
     cycles = detect_cycles(
-        build_timeline(replay.states, config.fps, config.activity.min_segment_s)
+        build_timeline(replay.runs, config.fps, config.activity.min_segment_s)
     )
     machines = tuple(
         replace(m, exit_frame=n_frames - 1 if m.exit_frame is None else m.exit_frame)
@@ -601,7 +601,11 @@ def _simulate(config: ScenarioConfig) -> Simulation:
     )
     truth = GroundTruth(
         fps=config.fps,
-        states=[state for _, state in replay.states],
+        states=[
+            state
+            for state, first, last in replay.runs
+            for _ in range(first, last + 1)
+        ],
         phases=phases,
         cycles=cycles,
         machines=machines,

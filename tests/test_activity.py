@@ -13,8 +13,8 @@ from sitewatch.activity import (
     ActivityConfig,
     MotionWindow,
     TimelineSegment,
-    body_motion,
     build_timeline,
+    expand_runs,
     is_still,
     read_timeline_csv,
     step_state,
@@ -40,7 +40,7 @@ def _push_path(window, positions):
 def test_static_keypoints_have_zero_motion():
     window = MotionWindow(5)
     _push_path(window, [[(10.0, 20.0), (30.0, 40.0)]] * 5)
-    assert body_motion(window) == 0.0
+    assert window.motion() == 0.0
 
 
 def test_uniform_translation_motion_is_the_step_norm():
@@ -50,7 +50,7 @@ def test_uniform_translation_motion_is_the_step_norm():
         [(x + 3.0 * f, y + 4.0 * f) for x, y in base] for f in range(5)
     ]
     _push_path(window, positions)
-    assert body_motion(window) == 5.0
+    assert window.motion() == 5.0
 
 
 def test_single_moving_keypoint_contributes_its_share():
@@ -59,7 +59,7 @@ def test_single_moving_keypoint_contributes_its_share():
         [(2.0 * f, 0.0), (50.0, 0.0), (60.0, 0.0), (70.0, 0.0)] for f in range(3)
     ]
     _push_path(window, positions)
-    assert body_motion(window) == 0.5
+    assert window.motion() == 0.5
 
 
 def test_underfull_window_signals_insufficient_history():
@@ -67,8 +67,8 @@ def test_underfull_window_signals_insufficient_history():
     assert window.motion() is None
     window.push(0, [(0.0, 0.0)])
     assert window.motion() is None
-    with pytest.raises(ValueError):
-        body_motion(window)
+    window.push(1, [(3.0, 4.0)])
+    assert window.motion() == 5.0
 
 
 def test_frame_gap_resets_the_window():
@@ -255,6 +255,104 @@ def test_swing_direction_never_contradicts_its_neighbors():
             assert prev in (P, SF, U)
         if state is SA:
             assert prev not in (P, SF)
+
+
+def test_classifier_states_are_the_stepped_states():
+    for seed in range(20):
+        rng = random.Random(seed)
+        classifier = ActionClassifier(REGIONS, 25.0)
+        stepped = []
+        frame = rng.randrange(3)
+        arm, body = DIG_CENTER, [900.0, 500.0]
+        for _ in range(200):
+            if rng.random() < 0.1:
+                arm = rng.choice([DIG_CENTER, DUMP_CENTER, FAR_AWAY])
+            if rng.random() < 0.3:
+                body[0] += rng.choice([-12.0, 12.0])
+            dump_wiggle = rng.choice([0.0, 6.0])
+            pose = None
+            if rng.random() >= 0.05:
+                pose = make_pose(arm=(arm[0], arm[1] + dump_wiggle), body=tuple(body))
+            stepped.append((frame, classifier.step(frame, pose)))
+            frame += 1 if rng.random() < 0.9 else rng.randint(2, 4)
+        assert classifier.states == stepped, f"seed {seed}"
+        assert classifier.observed_frames == len(stepped)
+        assert len({s for _, s in stepped}) >= 3, f"seed {seed}"
+        # Runs are maximal: neighbors differ in state or leave a gap.
+        for (s1, _, last), (s2, first, _) in zip(classifier.runs, classifier.runs[1:]):
+            assert s1 is not s2 or first > last + 1
+
+
+def _batch_timeline_segments(pairs, fps, min_duration):
+    """The per-frame batch debounce, kept as the reference for the runs."""
+    runs = []
+    for frame, state in pairs:
+        if runs and runs[-1][0] is state:
+            runs[-1][2] = frame
+        else:
+            runs.append([state, frame, frame])
+    if not runs:
+        return []
+    for current, following in zip(runs, runs[1:]):
+        current[2] = following[1] - 1
+    merged = [runs[0]]
+    for state, start, end in runs[1:]:
+        if (end - start + 1) / fps < min_duration or merged[-1][0] is state:
+            merged[-1][2] = end
+        else:
+            merged.append([state, start, end])
+    while len(merged) > 1 and (merged[0][2] - merged[0][1] + 1) / fps < min_duration:
+        merged[1][1] = merged[0][1]
+        del merged[0]
+    return [
+        TimelineSegment(
+            state, start, end, start / fps, (end + 1) / fps, (end - start + 1) / fps
+        )
+        for state, start, end in merged
+    ]
+
+
+@settings(max_examples=200, derandomize=True)
+@given(
+    steps=st.lists(
+        st.tuples(st.integers(1, 4), st.sampled_from([D, SA, P, SF, I, U])),
+        max_size=80,
+    ),
+    first=st.integers(0, 5),
+    fps=st.sampled_from([10.0, 25.0, 30.0]),
+    min_duration=st.floats(0.0, 1.5),
+)
+def test_runs_timeline_equals_the_per_frame_batch(steps, first, fps, min_duration):
+    pairs = []
+    frame = first - 1
+    for gap, state in steps:
+        frame += gap
+        pairs.append((frame, state))
+    # Runs over consecutive frames, as ActionClassifier keeps them.
+    runs = []
+    for frame, state in pairs:
+        if runs and runs[-1][0] is state and runs[-1][2] == frame - 1:
+            runs[-1][2] = frame
+        else:
+            runs.append([state, frame, frame])
+    assert expand_runs(runs) == pairs
+    kept = [list(run) for run in runs]
+
+    want = _batch_timeline_segments(pairs, fps, min_duration)
+    assert build_timeline(runs, fps, min_duration).segments == want
+    assert runs == kept  # the caller's runs are left as they were
+    assert build_timeline(pairs, fps, min_duration).segments == want
+    states = [state for _, state in pairs]
+    assert build_timeline(states, fps, min_duration).segments == (
+        _batch_timeline_segments(list(enumerate(states)), fps, min_duration)
+    )
+
+
+def test_build_timeline_rejects_overlapping_runs():
+    with pytest.raises(ValueError):
+        build_timeline([(D, 0, 4), (SA, 4, 6)], 25.0)
+    with pytest.raises(ValueError):
+        build_timeline([(D, 3, 2)], 25.0)
 
 
 def test_build_timeline_single_run():

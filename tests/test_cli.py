@@ -131,6 +131,34 @@ def test_report_parameter_overrides(tmp_path, capsys):
     assert _read_table(out / "report.csv") == base
 
 
+def _analysis_with_bucket(tmp_path, volume, full_rate):
+    scenario = _scenario_file(tmp_path, seed=1)
+    site = _site_file(tmp_path, bucket_volume_m3=volume, bucket_full_rate=full_rate)
+    main(["simulate", "-c", str(scenario), "-o", str(tmp_path / "sim")])
+    out = tmp_path / "analysis"
+    stream = tmp_path / "sim" / "stream.jsonl"
+    main(["analyze", "-c", str(site), "-i", str(stream), "-o", str(out)])
+    return out, _read_table(out / "report.csv")
+
+
+@pytest.mark.parametrize(
+    "flag, value, want_volume, want_full_rate",
+    [("--volume", "0.5", 0.5, 1.01), ("--full-rate", "0.95", 0.6, 0.95)],
+)
+def test_report_single_override_keeps_the_other_value(
+    tmp_path, capsys, flag, value, want_volume, want_full_rate
+):
+    out, base = _analysis_with_bucket(tmp_path, 0.6, 1.01)
+    assert (base["bucket_volume_m3"], base["bucket_full_rate"]) == ("0.6", "1.01")
+    redo = tmp_path / "redo"
+    assert main(["report", "-i", str(out), "-o", str(redo), flag, value]) == 0
+    table = _read_table(redo / "report.csv")
+    assert float(table["bucket_volume_m3"]) == want_volume
+    assert float(table["bucket_full_rate"]) == want_full_rate
+    want = float(base["cycles_per_hr"]) * want_volume * want_full_rate
+    assert float(table["productivity_m3_per_hr"]) == pytest.approx(want, rel=1e-9)
+
+
 def test_analyze_multiple_inputs_get_subdirectories(tmp_path):
     site = _site_file(tmp_path)
     for seed in (1, 2):
@@ -458,3 +486,44 @@ def test_watch_rejects_corrupt_input_strictly(tmp_path, capsys, monkeypatch):
     code = main(["watch", "-c", str(site)])
     assert code == 3
     assert "line 4" in capsys.readouterr().err
+
+
+def test_watch_agrees_with_analyze_on_alerts_and_pause(tmp_path, capsys, monkeypatch):
+    # A human stands in the digging area from frame 100 to 400; the pause
+    # is raised when the bucket comes in and cleared while it is away.
+    scenario = _scenario_file(tmp_path, seed=3)
+    obj = json.loads(scenario.read_text())
+    obj["inject"] = {"class": "human", "first_frame": 100, "last_frame": 400}
+    _write_json(scenario, obj)
+    site = _site_file(tmp_path)
+    assert main(["simulate", "-c", str(scenario), "-o", str(tmp_path / "sim")]) == 0
+    stream = tmp_path / "sim" / "stream.jsonl"
+    out = tmp_path / "analysis"
+    assert main(["analyze", "-c", str(site), "-i", str(stream), "-o", str(out)]) == 0
+    with open(out / "alerts.csv", newline="") as fh:
+        alert_rows = list(csv.reader(fh))[1:]
+    meta = json.loads((out / "meta.json").read_text())
+    kinds = [kind for kind, _ in meta["pause_events"]]
+    assert kinds[:2] == ["pause_raised", "pause_cleared"]
+    assert not meta["pause"]["active"]
+    capsys.readouterr()
+
+    with open(stream, encoding="utf-8") as fh:
+        monkeypatch.setattr("sys.stdin", fh)
+        code = main(["watch", "-c", str(site)])
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    watch_alerts = [
+        [
+            str(r["frame"]),
+            repr(r["offset_s"]),
+            r["region"],
+            ";".join(f"{tid}:{cls}" for tid, cls in r["tracks"]),
+        ]
+        for r in records
+        if r["type"] == "alert"
+    ]
+    watch_events = [[r["type"], r["frame"]] for r in records if r["type"] != "alert"]
+    assert len(watch_alerts) > 0
+    assert watch_alerts == alert_rows
+    assert watch_events == meta["pause_events"]
+    assert code == (1 if meta["pause"]["active"] else 0)

@@ -1,0 +1,75 @@
+"""The streaming analyzer's memory: state history kept as runs."""
+
+import tracemalloc
+
+from sitewatch.activity import ActionState, expand_runs
+from sitewatch.config import SiteConfig
+from sitewatch.pipeline import analyze_stream
+from sitewatch.streams import (
+    Detection,
+    MachineClass,
+    PerceptionFrame,
+    serialize_frame,
+    serialize_header,
+)
+
+from helpers import DIG_CENTER, REGIONS, make_header, make_pose
+
+
+def _parked_excavator_lines(n_frames):
+    """One excavator parked with its bucket in the digging square.
+
+    It digs from frame 1 and turns idle after the grace period, so the
+    stream holds the same three states however long it runs, and no
+    alert, since no second machine ever appears.
+    """
+    yield serialize_header(make_header())
+    detections = (Detection(MachineClass.EXCAVATOR, (150.0, 150.0, 800.0, 400.0), 0.95),)
+    poses = ((0, make_pose(arm=DIG_CENTER)),)
+    for f in range(n_frames):
+        yield serialize_frame(PerceptionFrame(f, detections, poses))
+
+
+def _peak_traced_bytes(n_frames, site):
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        result = analyze_stream(_parked_excavator_lines(n_frames), site)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.frame_count == n_frames
+    assert result.alerts == []
+    assert [state for state, _, _ in result.runs[result.primary_track]] == [
+        ActionState.UNKNOWN,
+        ActionState.DIGGING,
+        ActionState.IDLE,
+    ]
+    return peak
+
+
+def test_analyze_memory_does_not_grow_with_frames():
+    site = SiteConfig(regions=REGIONS)
+    n = 250
+    # One untraced pass of the longer stream first, so one-time
+    # allocations (imports, caches, specialized bytecode) land in
+    # neither measurement.
+    analyze_stream(_parked_excavator_lines(10 * n), site)
+    short = _peak_traced_bytes(n, site)
+    long = _peak_traced_bytes(10 * n, site)
+    per_frame = (long - short) / (9 * n)
+    assert per_frame < 1.0, f"{per_frame:.2f} B per added frame"
+
+
+def test_result_states_expand_the_runs():
+    site = SiteConfig(regions=REGIONS)
+    result = analyze_stream(_parked_excavator_lines(120), site)
+    runs = result.runs[result.primary_track]
+    pairs = result.states[result.primary_track]
+    assert pairs == expand_runs(runs)
+    assert [f for f, _ in pairs] == list(range(120))
+    assert runs == [
+        (ActionState.UNKNOWN, 0, 0),
+        (ActionState.DIGGING, 1, 74),
+        (ActionState.IDLE, 75, 119),
+    ]
