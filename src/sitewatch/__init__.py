@@ -65,7 +65,6 @@ from .simulator import (
 )
 from .streams import (
     Detection,
-    Keypoint,
     MachineClass,
     PerceptionFrame,
     Pose,
@@ -75,7 +74,6 @@ from .streams import (
     read_stream,
     serialize_frame,
     serialize_header,
-    soft_nms,
     write_stream,
 )
 from .tracking import IouTracker, Track

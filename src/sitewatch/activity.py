@@ -26,7 +26,7 @@ from .geometry import (
     bbox_diagonal,
     classify_location,
 )
-from .streams import ARM_KEYPOINTS, BODY_KEYPOINTS, Pose
+from .streams import ARM, BODY, Pose
 
 
 class ActionState(str, Enum):
@@ -222,9 +222,8 @@ class ActionClassifier:
         else:
             if last_frame is not None and frame_index != last_frame + 1:
                 self._still_frames = 0
-            kps = pose.keypoints
-            self._body.push(frame_index, [kps[n].point for n in BODY_KEYPOINTS])
-            self._arm.push(frame_index, [kps[n].point for n in ARM_KEYPOINTS])
+            self._body.push(frame_index, [kp[:2] for kp in pose[BODY]])
+            self._arm.push(frame_index, [kp[:2] for kp in pose[ARM]])
             body = self._body.motion()
             arm = self._arm.motion()
             if body is None or arm is None:

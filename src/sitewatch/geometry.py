@@ -11,10 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Sequence
-
-if TYPE_CHECKING:
-    from .streams import Pose
+from typing import Iterable, Sequence
 
 Point = tuple[float, float]
 BBox = tuple[float, float, float, float]
@@ -239,7 +236,7 @@ def locate_point(point: Point, regions: Sequence[Region]) -> LocationLabel:
     return LocationLabel.ELSEWHERE
 
 
-def probe_point(pose: "Pose", conf_floor: float = 0.3) -> Point | None:
+def probe_point(pose: Pose, conf_floor: float = 0.3) -> Point | None:
     """Pick the bucket-side point used to localize an excavator.
 
     Candidates are the bucket joint, the arm joint, and the midpoint of
@@ -248,30 +245,26 @@ def probe_point(pose: "Pose", conf_floor: float = 0.3) -> Point | None:
     ties fall to the earlier candidate in the order above.  Returns None
     when every candidate is below the floor.
     """
-    kps = pose.keypoints
-    bj = kps["bucket_joint"]
-    aj = kps["arm_joint"]
-    e1 = kps["bucket_end1"]
-    e2 = kps["bucket_end2"]
     # The first candidate with the highest confidence; it clears the
     # floor exactly when some candidate does.
-    best = bj
-    best_conf = bj.confidence
-    if aj.confidence > best_conf:
-        best = aj
-        best_conf = aj.confidence
-    end_conf = min(e1.confidence, e2.confidence)
-    if end_conf > best_conf:
+    x, y, conf = pose[BUCKET_JOINT]
+    ax, ay, aconf = pose[ARM_JOINT]
+    if aconf > conf:
+        x, y, conf = ax, ay, aconf
+    e1x, e1y, e1conf = pose[BUCKET_END1]
+    e2x, e2y, e2conf = pose[BUCKET_END2]
+    end_conf = min(e1conf, e2conf)
+    if end_conf > conf:
         if end_conf < conf_floor:
             return None
-        return ((e1.x + e2.x) / 2.0, (e1.y + e2.y) / 2.0)
-    if best_conf < conf_floor:
+        return ((e1x + e2x) / 2.0, (e1y + e2y) / 2.0)
+    if conf < conf_floor:
         return None
-    return (best.x, best.y)
+    return (x, y)
 
 
 def classify_location(
-    pose: "Pose",
+    pose: Pose,
     regions: Sequence[Region],
     conf_floor: float = 0.3,
 ) -> LocationLabel | None:
@@ -322,3 +315,8 @@ def bbox_bottom_center(bbox: BBox) -> Point:
 
 def bbox_diagonal(bbox: BBox) -> float:
     return math.hypot(bbox[2], bbox[3])
+
+
+# The pose layout belongs to streams, which imports this module's box
+# helpers; imported last, it finds them defined.
+from .streams import ARM_JOINT, BUCKET_END1, BUCKET_END2, BUCKET_JOINT, Pose

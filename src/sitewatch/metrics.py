@@ -154,15 +154,13 @@ def oks(
     kappas = per_keypoint_kappa or {}
     total = 0.0
     visible = 0
-    for name in KEYPOINT_NAMES:
-        t = truth.keypoints[name]
-        if t.confidence <= 0:
+    for name, (px, py, _), (tx, ty, tconf) in zip(KEYPOINT_NAMES, pred, truth):
+        if tconf <= 0:
             continue
         kappa = kappas.get(name, DEFAULT_KAPPA)
         if kappa <= 0:
             raise ValueError(f"kappa for {name!r} must be positive")
-        p = pred.keypoints[name]
-        d2 = (p.x - t.x) ** 2 + (p.y - t.y) ** 2
+        d2 = (px - tx) ** 2 + (py - ty) ** 2
         total += math.exp(-d2 / (2.0 * scale * scale * kappa * kappa))
         visible += 1
     if visible == 0:

@@ -98,7 +98,8 @@ class StreamAnalyzer:
         self.frame_count += 1
         return self.monitor.step(frame.index, frame_tracks)
 
-    def finish(self, skipped: int = 0) -> AnalysisResult:
+    def finish(self, alerts: list[Alert], skipped: int = 0) -> AnalysisResult:
+        """Close the analysis; ``alerts`` are the ones process_frame returned."""
         timelines = {
             track_id: build_timeline(
                 classifier.runs, self.header.fps, self.site.activity.min_segment_s
@@ -135,7 +136,7 @@ class StreamAnalyzer:
             primary_track=primary,
             cycles=detect_cycles(primary_timeline),
             report=report,
-            alerts=list(self.monitor.alerts),
+            alerts=alerts,
             pause=self.monitor.pause,
             pause_events=list(self.monitor.pause_events),
         )
@@ -146,9 +147,10 @@ def analyze_stream(
 ) -> AnalysisResult:
     parser = parse_stream(lines, strict=strict)
     analyzer = StreamAnalyzer(site, parser.header)
+    alerts: list[Alert] = []
     for frame in parser:
-        analyzer.process_frame(frame)
-    return analyzer.finish(skipped=parser.skipped)
+        alerts += analyzer.process_frame(frame)
+    return analyzer.finish(alerts, skipped=parser.skipped)
 
 
 def analyze_file(path, site: SiteConfig, strict: bool = True) -> AnalysisResult:

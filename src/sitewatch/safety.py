@@ -138,7 +138,12 @@ def update_pause(
 
 
 class SafetyMonitor:
-    """Per-stream alert log plus pause bookkeeping."""
+    """Per-stream alert checks plus pause bookkeeping.
+
+    Each step returns its frame's alerts and keeps none of them, so a
+    monitor on an unbounded feed holds only the pause latch and the
+    pause events.
+    """
 
     def __init__(
         self,
@@ -153,7 +158,6 @@ class SafetyMonitor:
         self.fps = fps
         self.clearance_window = clearance_window
         self.conf_floor = conf_floor
-        self.alerts: list[Alert] = []
         self.pause = PauseSignal()
         self.pause_events: list[tuple[str, int]] = []
 
@@ -162,7 +166,7 @@ class SafetyMonitor:
         frame_index: int,
         frame_tracks: Sequence[tuple[Track, BBox, Pose | None]],
     ) -> list[Alert]:
-        """Evaluate one frame; returns (and logs) its alerts."""
+        """Evaluate one frame; returns its alerts."""
         locations = locate_machines(frame_tracks, self.regions, self.conf_floor)
         classes = {track.track_id: track.cls for track, _, _ in frame_tracks}
         alerts = check_collision(locations, classes, frame_index, self.fps)
@@ -174,5 +178,4 @@ class SafetyMonitor:
             self.pause_events.append(("pause_raised", frame_index))
         elif was_active and not self.pause.active:
             self.pause_events.append(("pause_cleared", frame_index))
-        self.alerts.extend(alerts)
         return alerts

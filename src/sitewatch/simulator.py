@@ -51,7 +51,6 @@ from .safety import check_collision
 from .streams import (
     KEYPOINT_NAMES,
     Detection,
-    Keypoint,
     MachineClass,
     PerceptionFrame,
     Pose,
@@ -449,6 +448,11 @@ class _ExcavatorPath:
         return points
 
 
+def _confident_pose(points: dict[str, Point]) -> Pose:
+    """Every keypoint at its point, fully confident."""
+    return tuple([(x, y, 1.0) for x, y in map(points.__getitem__, KEYPOINT_NAMES)])
+
+
 def _pose_bbox(points: dict[str, Point], config: ScenarioConfig) -> BBox:
     xs = [p[0] for p in points.values()]
     ys = [p[1] for p in points.values()]
@@ -535,15 +539,7 @@ def _simulate(config: ScenarioConfig) -> Simulation:
         points = path.pose_points(f)
         bbox = _pose_bbox(points, config)
         probe_points.append(points["bucket_joint"])
-        # Every keypoint is named and fully confident by construction.
-        # tuple.__new__ builds each Keypoint without its Python-level
-        # __new__ frame.
-        true_pose = Pose.trusted(
-            {
-                name: tuple.__new__(Keypoint, (name, *points[name], 1.0))
-                for name in KEYPOINT_NAMES
-            }
-        )
+        true_pose = _confident_pose(points)
         replay.step(f, true_pose, bbox)
 
         detections: list[Detection] = []
@@ -559,12 +555,7 @@ def _simulate(config: ScenarioConfig) -> Simulation:
                     )
                     for name, (x, y) in points.items()
                 }
-                emitted_pose = Pose.trusted(
-                    {
-                        name: tuple.__new__(Keypoint, (name, *emitted[name], 1.0))
-                        for name in KEYPOINT_NAMES
-                    }
-                )
+                emitted_pose = _confident_pose(emitted)
             out_bbox = bbox
             if noise.bbox_sigma > 0:
                 out_bbox = _clamp_bbox(

@@ -14,6 +14,11 @@ belongs to by index.  Strict parsing rejects any deviation (unknown or
 missing fields, unknown classes, out-of-range values, non-monotone frame
 indices) with the offending line number; lenient parsing skips and
 counts bad frame lines instead.
+
+In memory a pose is a plain tuple of ten (x, y, conf) float triples in
+KEYPOINT_NAMES order, the layout of COCO keypoint annotations.  This
+module owns that layout (ARM, BODY and the probe-candidate positions),
+and the parser is the only place a pose is checked.
 """
 
 from __future__ import annotations
@@ -29,11 +34,14 @@ from .errors import StreamFormatError
 from .geometry import BBox, bbox_iou
 
 __all__ = [
-    "ARM_KEYPOINTS",
-    "BODY_KEYPOINTS",
+    "ARM",
+    "ARM_JOINT",
+    "BODY",
+    "BUCKET_END1",
+    "BUCKET_END2",
+    "BUCKET_JOINT",
     "KEYPOINT_NAMES",
     "Detection",
-    "Keypoint",
     "MachineClass",
     "PerceptionFrame",
     "Pose",
@@ -45,7 +53,6 @@ __all__ = [
     "serialize_frame",
     "serialize_header",
     "serialize_stream",
-    "soft_nms",
     "soft_nms_indexed",
     "write_stream",
 ]
@@ -77,71 +84,20 @@ KEYPOINT_NAMES = (
     "body3",
     "body4",
 )
-BODY_KEYPOINTS = ("body1", "body2", "body3", "body4")
-ARM_KEYPOINTS = ("bucket_end1", "bucket_end2", "bucket_joint", "arm_joint")
+# Positions in a pose.  ARM holds the bucket ends and the two arm-side
+# joints (the probe candidates), BODY the four carbody corners.
+ARM = slice(0, 4)
+BODY = slice(6, 10)
+BUCKET_END1 = KEYPOINT_NAMES.index("bucket_end1")
+BUCKET_END2 = KEYPOINT_NAMES.index("bucket_end2")
+BUCKET_JOINT = KEYPOINT_NAMES.index("bucket_joint")
+ARM_JOINT = KEYPOINT_NAMES.index("arm_joint")
+
+# An excavator pose: ten (x, y, conf) triples in KEYPOINT_NAMES order.
+Pose = tuple[tuple[float, float, float], ...]
 
 _KEYPOINT_SET = frozenset(KEYPOINT_NAMES)
 _CLASS_VALUES = {c.value: c for c in MachineClass}
-
-
-class Keypoint(NamedTuple):
-    """One named keypoint; an immutable tuple (name, x, y, confidence)."""
-
-    name: str
-    x: float
-    y: float
-    confidence: float
-
-    # (x, y), read by a C-level getter: the activity rules read eight
-    # points per pose per frame.
-    point = property(operator.itemgetter(1, 2), doc="The keypoint's (x, y).")
-
-
-def _keypoint_mismatch(names) -> str:
-    missing = sorted(_KEYPOINT_SET - names)
-    extra = sorted(names - _KEYPOINT_SET)
-    return f"pose keypoints mismatch: missing={missing} extra={extra}"
-
-
-def _confidence_out_of_range(name: str) -> str:
-    return f"keypoint {name!r} confidence out of [0, 1]"
-
-
-@dataclass(frozen=True, slots=True)
-class Pose:
-    """A complete excavator pose: all ten named keypoints.
-
-    Construction checks the key set, each keypoint's name and each
-    confidence.  ``Pose.trusted`` skips those checks for callers that
-    have already made them (the stream parser) or that build poses
-    valid by construction (the simulator), so no pose is checked twice.
-    """
-
-    keypoints: dict[str, Keypoint]
-
-    def __post_init__(self):
-        names = self.keypoints.keys()
-        if names != _KEYPOINT_SET:
-            raise ValueError(_keypoint_mismatch(names))
-        for name, kp in self.keypoints.items():
-            if kp.name != name:
-                raise ValueError(f"keypoint stored under {name!r} is named {kp.name!r}")
-            if not 0.0 <= kp.confidence <= 1.0:
-                raise ValueError(_confidence_out_of_range(name))
-
-    @classmethod
-    def trusted(cls, keypoints: dict[str, Keypoint]) -> "Pose":
-        """Wrap keypoints that already satisfy every construction check."""
-        pose = object.__new__(cls)
-        object.__setattr__(pose, "keypoints", keypoints)
-        return pose
-
-    def point(self, name: str) -> tuple[float, float]:
-        kp = self.keypoints[name]
-        return (kp.x, kp.y)
-
-    def confidence(self, name: str) -> float:
-        return self.keypoints[name].confidence
 
 
 class Detection(NamedTuple):
@@ -256,7 +212,7 @@ def _parse_detection(obj, header: StreamHeader, line_no: int) -> Detection:
 
 
 def _parse_pose(obj, detections: Sequence[Detection], line_no: int) -> tuple[int, Pose]:
-    """Check one pose object against every Pose rule, then wrap it unchecked."""
+    """Check one pose object; no other code checks a pose."""
     _require_keys(obj, _POSE_KEYS, "pose", line_no)
     det = obj["det"]
     if not _is_int(det) or not 0 <= det < len(detections):
@@ -268,10 +224,13 @@ def _parse_pose(obj, detections: Sequence[Detection], line_no: int) -> tuple[int
         raise StreamFormatError("pose keypoints must be an object", line_no)
     names = kps.keys()
     if names != _KEYPOINT_SET:
-        raise StreamFormatError(_keypoint_mismatch(names), line_no)
+        missing = sorted(_KEYPOINT_SET - names)
+        extra = sorted(names - _KEYPOINT_SET)
+        raise StreamFormatError(
+            f"pose keypoints mismatch: missing={missing} extra={extra}", line_no
+        )
     isfinite = math.isfinite
-    new_keypoint = tuple.__new__
-    parsed: dict[str, Keypoint] = {}
+    pose = []
     for name in KEYPOINT_NAMES:
         triple = kps[name]
         if type(triple) is not list or len(triple) != 3:
@@ -288,10 +247,11 @@ def _parse_pose(obj, detections: Sequence[Detection], line_no: int) -> tuple[int
         if not valid:
             raise StreamFormatError(f"keypoint {name!r} must be [x, y, conf]", line_no)
         if not 0.0 <= conf <= 1.0:
-            raise StreamFormatError(_confidence_out_of_range(name), line_no)
-        # Keypoint(name, x, y, conf) without the Python-level __new__ frame.
-        parsed[name] = new_keypoint(Keypoint, (name, x, y, conf))
-    return det, Pose.trusted(parsed)
+            raise StreamFormatError(
+                f"keypoint {name!r} confidence out of [0, 1]", line_no
+            )
+        pose.append((x, y, conf))
+    return det, tuple(pose)
 
 
 def _parse_frame(obj, header: StreamHeader, prev_index: int, line_no: int) -> PerceptionFrame:
@@ -395,33 +355,35 @@ def serialize_header(header: StreamHeader) -> str:
 
 # Bound on the keypoint texts one stream remembers; see serialize_frame.
 _KEYPOINT_TEXTS_LIMIT = 4096
+# Each slot's '"name":' key, after a comma from the second slot on.
+_KEYPOINT_KEYS = tuple(
+    f'{"," if i else ""}"{name}":' for i, name in enumerate(KEYPOINT_NAMES)
+)
 
 
-def _keypoints_json(
-    keypoints: dict[str, Keypoint], texts: dict[Keypoint, str] | None
-) -> str:
+def _keypoints_json(pose: Pose, texts: dict[tuple, str] | None) -> str:
     fields = []
-    for name in KEYPOINT_NAMES:
-        kp = keypoints[name]
-        _, x, y, conf = kp
-        # Only all-float keypoints are remembered, since 1 == 1.0 prints
+    for key, kp in zip(_KEYPOINT_KEYS, pose):
+        x, y, conf = kp
+        # Only all-float triples are remembered, since 1 == 1.0 prints
         # differently, and none with a zero, since 0.0 == -0.0 does too.
         if texts is not None and float is type(x) is type(y) is type(conf):
             text = texts.get(kp)
             if text is None:
-                text = f'"{name}":[{x!r},{y!r},{conf!r}]'
+                text = f"[{x!r},{y!r},{conf!r}]"
                 if x and y and conf:
                     if len(texts) >= _KEYPOINT_TEXTS_LIMIT:
                         texts.clear()
                     texts[kp] = text
         else:
-            text = f'"{name}":[{x!r},{y!r},{conf!r}]'
+            text = f"[{x!r},{y!r},{conf!r}]"
+        fields.append(key)
         fields.append(text)
-    return ",".join(fields)
+    return "".join(fields)
 
 
 def serialize_frame(
-    frame: PerceptionFrame, keypoint_texts: dict[Keypoint, str] | None = None
+    frame: PerceptionFrame, keypoint_texts: dict[tuple, str] | None = None
 ) -> str:
     """Canonical single-line JSON; keypoints in declaration order.
 
@@ -443,7 +405,7 @@ def serialize_frame(
         )
     parts.append('],"poses":[')
     for i, (det_idx, pose) in enumerate(frame.poses):
-        inner = _keypoints_json(pose.keypoints, keypoint_texts)
+        inner = _keypoints_json(pose, keypoint_texts)
         parts.append(f'{"," if i else ""}{{"det":{det_idx},"keypoints":{{{inner}}}}}')
     parts.append("]}")
     return "".join(parts)
@@ -453,19 +415,17 @@ def serialize_stream(
     header: StreamHeader, frames: Iterable[PerceptionFrame]
 ) -> Iterator[str]:
     yield serialize_header(header)
-    keypoint_texts: dict[Keypoint, str] = {}
+    keypoint_texts: dict[tuple, str] = {}
     for frame in frames:
         yield serialize_frame(frame, keypoint_texts)
 
 
 def write_stream(path, header: StreamHeader, frames: Iterable[PerceptionFrame]) -> int:
     """Write a stream file; returns the number of frame lines written."""
-    count = 0
-    keypoint_texts: dict[Keypoint, str] = {}
+    count = -1  # the header line is not a frame
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_header(header) + "\n")
-        for frame in frames:
-            fh.write(serialize_frame(frame, keypoint_texts) + "\n")
+        for line in serialize_stream(header, frames):
+            fh.write(line + "\n")
             count += 1
     return count
 
@@ -521,16 +481,6 @@ def soft_nms_indexed(
             pool = survivors
     kept.sort(key=lambda item: (-item[1].score, item[0]))
     return kept
-
-
-def soft_nms(
-    detections: Sequence[Detection],
-    iou_threshold: float = 0.3,
-    decay: float = 0.5,
-    score_floor: float = 0.001,
-) -> list[Detection]:
-    """Gaussian soft-NMS; see soft_nms_indexed for the exact rules."""
-    return [det for _, det in soft_nms_indexed(detections, iou_threshold, decay, score_floor)]
 
 
 def dedupe_frame(

@@ -17,7 +17,6 @@ from sitewatch.simulator import DurationRange, MachineSpec, NoiseModel, Scenario
 from sitewatch.streams import (
     KEYPOINT_NAMES,
     Detection,
-    Keypoint,
     MachineClass,
     PerceptionFrame,
     Pose,
@@ -54,6 +53,22 @@ _BODY_LAYOUT = {
 }
 
 
+def pose_from(triples: dict) -> Pose:
+    """The pose holding each name's (x, y, conf) triple at its position."""
+    return tuple(triples[name] for name in KEYPOINT_NAMES)
+
+
+def keypoint(pose: Pose, name: str):
+    """The (x, y, conf) triple of one named keypoint."""
+    return pose[KEYPOINT_NAMES.index(name)]
+
+
+def point(pose: Pose, name: str):
+    """The (x, y) of one named keypoint."""
+    x, y, _ = keypoint(pose, name)
+    return (x, y)
+
+
 def make_pose(
     arm=DIG_CENTER,
     body=(900.0, 500.0),
@@ -64,23 +79,18 @@ def make_pose(
     """Full ten-keypoint pose: arm cluster at ``arm``, body at ``body``."""
     confs = conf_overrides or {}
     points = point_overrides or {}
-    keypoints = {}
+    triples = {}
     for name, (dx, dy) in _ARM_LAYOUT.items():
         x, y = points.get(name, (arm[0] + dx, arm[1] + dy))
-        keypoints[name] = Keypoint(name, x, y, confs.get(name, conf))
+        triples[name] = (x, y, confs.get(name, conf))
     for name, (dx, dy) in _BODY_LAYOUT.items():
         x, y = points.get(name, (body[0] + dx, body[1] + dy))
-        keypoints[name] = Keypoint(name, x, y, confs.get(name, conf))
-    return Pose(keypoints)
+        triples[name] = (x, y, confs.get(name, conf))
+    return pose_from(triples)
 
 
 def shift_pose(pose: Pose, dx: float, dy: float) -> Pose:
-    return Pose(
-        {
-            name: Keypoint(name, kp.x + dx, kp.y + dy, kp.confidence)
-            for name, kp in pose.keypoints.items()
-        }
-    )
+    return tuple((x + dx, y + dy, conf) for x, y, conf in pose)
 
 
 def make_detection(cls="excavator", bbox=(10.0, 20.0, 200.0, 120.0), score=0.9) -> Detection:
@@ -123,16 +133,15 @@ def random_stream(rng: random.Random):
                 Detection(cls, random_bbox(rng, header.width, header.height), rng.uniform(0.0, 1.0))
             )
             if cls is MachineClass.EXCAVATOR and rng.random() < 0.7:
-                keypoints = {
-                    name: Keypoint(
-                        name,
+                pose = tuple(
+                    (
                         rng.uniform(-50.0, header.width + 50.0),
                         rng.uniform(-50.0, header.height + 50.0),
                         rng.uniform(0.0, 1.0),
                     )
-                    for name in KEYPOINT_NAMES
-                }
-                poses.append((len(detections) - 1, Pose(keypoints)))
+                    for _ in KEYPOINT_NAMES
+                )
+                poses.append((len(detections) - 1, pose))
         frames.append(PerceptionFrame(index, tuple(detections), tuple(poses)))
     return header, frames
 
@@ -335,12 +344,10 @@ def oracle_detection_ap(predictions, truths, iou_gate=0.5):
 
 def oracle_oks(pred: Pose, truth: Pose, scale: float, kappa=0.5) -> float:
     values = []
-    for name in KEYPOINT_NAMES:
-        t = truth.keypoints[name]
-        if t.confidence <= 0:
+    for (px, py, _), (tx, ty, tconf) in zip(pred, truth):
+        if tconf <= 0:
             continue
-        p = pred.keypoints[name]
-        d2 = (p.x - t.x) ** 2 + (p.y - t.y) ** 2
+        d2 = (px - tx) ** 2 + (py - ty) ** 2
         values.append(math.exp(-d2 / (2.0 * scale * scale * kappa * kappa)))
     if not values:
         raise ValueError("no visible keypoints")
@@ -411,17 +418,16 @@ def random_pose_instance(rng: random.Random):
             if truths and rng.random() < 0.7:
                 _, base, scale = rng.choice(truths)
                 spread = scale * rng.uniform(0.0, 0.8)
-                pose = Pose(
-                    {
-                        name: Keypoint(
-                            name,
-                            kp.x + rng.uniform(-spread, spread),
-                            kp.y + rng.uniform(-spread, spread),
-                            1.0,
-                        )
-                        for name, kp in base.keypoints.items()
-                    }
-                )
+                # Jittered in make_pose's keypoint order.
+                moved = {}
+                for name in (*_ARM_LAYOUT, *_BODY_LAYOUT):
+                    x, y, _ = keypoint(base, name)
+                    moved[name] = (
+                        x + rng.uniform(-spread, spread),
+                        y + rng.uniform(-spread, spread),
+                        1.0,
+                    )
+                pose = pose_from(moved)
             else:
                 anchor = (rng.uniform(100.0, 500.0), rng.uniform(100.0, 400.0))
                 pose = make_pose(arm=anchor, body=(anchor[0] + 200.0, anchor[1] + 100.0))

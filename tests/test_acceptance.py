@@ -218,14 +218,7 @@ def test_criterion_5_oks_properties():
 
 
 def _scale_pose(pose, factor):
-    from sitewatch.streams import Keypoint, Pose
-
-    return Pose(
-        {
-            name: Keypoint(name, kp.x * factor, kp.y * factor, kp.confidence)
-            for name, kp in pose.keypoints.items()
-        }
-    )
+    return tuple((x * factor, y * factor, conf) for x, y, conf in pose)
 
 
 def test_criterion_6_safety_truth_table():

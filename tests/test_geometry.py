@@ -35,6 +35,7 @@ from helpers import (
     distance_to_boundary,
     make_pose,
     minmax_bbox_iou,
+    point,
     random_convex_polygon,
 )
 
@@ -143,17 +144,17 @@ def test_locate_point_picks_containing_region():
 
 def test_probe_point_prefers_bucket_joint():
     pose = make_pose(arm=(200.0, 200.0))
-    assert probe_point(pose) == pose.point("bucket_joint")
+    assert probe_point(pose) == point(pose, "bucket_joint")
 
 
 def test_probe_point_falls_back_by_priority():
     pose = make_pose(arm=(200.0, 200.0), conf_overrides={"bucket_joint": 0.1})
-    assert probe_point(pose) == pose.point("arm_joint")
+    assert probe_point(pose) == point(pose, "arm_joint")
     pose = make_pose(
         arm=(200.0, 200.0), conf_overrides={"bucket_joint": 0.1, "arm_joint": 0.2}
     )
-    e1 = pose.point("bucket_end1")
-    e2 = pose.point("bucket_end2")
+    e1 = point(pose, "bucket_end1")
+    e2 = point(pose, "bucket_end2")
     assert probe_point(pose) == ((e1[0] + e2[0]) / 2.0, (e1[1] + e2[1]) / 2.0)
 
 
@@ -179,7 +180,7 @@ def test_probe_point_all_low_confidence_is_indeterminate():
 
 def test_probe_point_equal_confidence_tie_is_stable():
     pose = make_pose(conf=0.8)
-    assert probe_point(pose) == pose.point("bucket_joint")
+    assert probe_point(pose) == point(pose, "bucket_joint")
 
 
 def test_probe_point_matches_the_rule_on_random_confidences():
@@ -192,10 +193,10 @@ def test_probe_point_matches_the_rule_on_random_confidences():
         confs = {name: rng.choice(grid) for name in names}
         floor = rng.choice(grid)
         pose = make_pose(conf_overrides=confs)
-        e1, e2 = pose.point("bucket_end1"), pose.point("bucket_end2")
+        e1, e2 = point(pose, "bucket_end1"), point(pose, "bucket_end2")
         candidates = [
-            (confs["bucket_joint"], pose.point("bucket_joint")),
-            (confs["arm_joint"], pose.point("arm_joint")),
+            (confs["bucket_joint"], point(pose, "bucket_joint")),
+            (confs["arm_joint"], point(pose, "arm_joint")),
             (
                 min(confs["bucket_end1"], confs["bucket_end2"]),
                 ((e1[0] + e2[0]) / 2.0, (e1[1] + e2[1]) / 2.0),

@@ -1,9 +1,11 @@
-"""Byte-for-byte pins of the criterion-1 benchmark artifacts.
+"""Byte-for-byte pins of the criterion-1 benchmark artifacts and a noisy run.
 
 Criterion 1 runs ``simulate`` then ``analyze`` on
-``productivity_benchmark_config()``.  Speed work on that path must leave
-every artifact byte-identical; change a digest here only together with
-an intended change of output, and say why.
+``productivity_benchmark_config()``.  The noisy case adds what that
+scenario lacks: keypoint, box and drop noise, alerts, ``watch`` and
+``eval --task pose``.  Speed and design work must leave every artifact
+byte-identical; change a digest here only together with an intended
+change of output, and say why.
 """
 
 import hashlib
@@ -13,9 +15,14 @@ from sitewatch.cli import main
 from sitewatch.config import SiteConfig, site_config_to_dict
 from sitewatch.simulator import (
     DEFAULT_REGIONS,
+    DurationRange,
+    MachineSpec,
+    NoiseModel,
+    ScenarioConfig,
     productivity_benchmark_config,
     scenario_to_dict,
 )
+from sitewatch.streams import MachineClass
 
 SIMULATE_DIGESTS = {
     "stream.jsonl": "670c76538927eeb839b12d09f727e8db3b7bdb59ecf1d549e7719ff35e2d6da7",
@@ -67,3 +74,96 @@ def test_benchmark_artifacts_are_byte_identical(tmp_path, capsys):
     got = {name: _sha256(sim_dir / name) for name in SIMULATE_DIGESTS}
     got.update({name: _sha256(out_dir / name) for name in ANALYZE_DIGESTS})
     assert got == {**SIMULATE_DIGESTS, **ANALYZE_DIGESTS}
+
+
+# A small noisy scenario: keypoint, box and drop noise, a truck parked in
+# the dumping area and a worker crossing the digging area, so the stream
+# misses the keypoint-text cache, drops frames and raises alerts.  Its
+# noise-free twin is the truth for ``eval --task pose``.
+NOISY_DIGESTS = {
+    "stream.jsonl": "54f5069d31bcd54848900c403f32c5c36e837896c74473a6000a93c5d7a500cd",
+    "ground_truth.json": "94066367de0ae3ae989ef6d5b62701c5f057ea607dccbc8d82482a8f8be3c800",
+    "timeline.csv": "024e6b887d48bb696c1b2f5c5d21e66153c72031017dee12c50a477dfc39fefc",
+    "alerts.csv": "929d354560c7e2b88d22ca6a89a59a5f61ce56e187953bfe79b6b609cb8ec33e",
+    "meta.json": "bdcbe1cd6dfe7bae108211686635eaa5d273ad1298d4c921e6afc8517866b4ce",
+    "report.csv": "aca3f20ffbcdc7764ee54a78fc3f2cc35058281ead62aa73a6444f5d5656a5be",
+    "cycles.csv": "4de5202f2d4845dbd9e5d1668644d3cd893ddbf2b2147d7ca4bace193c4b537a",
+    "watch.stdout": "a555daf090ed65f17422889d0557a969f12fcfe049951762437aafb5e9bceaff",
+    "eval_pose.csv": "fe72a52af614d4df83b31ff600cd6b5bb5b16d50a065a001f2866b82a512fc27",
+}
+NOISY_WATCH_EXIT = 0
+
+
+def _noisy_scenario(noise: NoiseModel) -> ScenarioConfig:
+    return ScenarioConfig(
+        seed=11,
+        cycle_count=3,
+        dig=DurationRange(2.0, 4.0),
+        swing=DurationRange(1.8, 3.2),
+        dump=DurationRange(2.0, 4.0),
+        machines=(
+            MachineSpec(MachineClass.TRUCK, (1332.0, 400.0, 160.0, 120.0)),
+            MachineSpec(MachineClass.HUMAN, (390.0, 345.0, 60.0, 160.0), 40, 260),
+        ),
+        noise=noise,
+    )
+
+
+def _noisy_artifacts(tmp_path, capsys, monkeypatch) -> tuple[dict[str, str], int]:
+    """Run simulate, analyze, watch and eval --task pose; digest each output."""
+    site = SiteConfig(regions=DEFAULT_REGIONS)
+    site_path = tmp_path / "site.json"
+    site_path.write_text(json.dumps(site_config_to_dict(site)) + "\n")
+    runs = {
+        "noisy": NoiseModel(keypoint_sigma=0.3, drop_prob=0.05, bbox_sigma=2.0),
+        "clean": NoiseModel(),
+    }
+    for name, noise in runs.items():
+        scenario_path = tmp_path / f"{name}.json"
+        scenario_path.write_text(json.dumps(scenario_to_dict(_noisy_scenario(noise))) + "\n")
+        assert main(["simulate", "-c", str(scenario_path), "-o", str(tmp_path / name)]) == 0
+    stream = tmp_path / "noisy" / "stream.jsonl"
+    out_dir = tmp_path / "analysis"
+    assert main(["analyze", "-c", str(site_path), "-i", str(stream), "-o", str(out_dir)]) == 0
+    eval_path = tmp_path / "eval_pose.csv"
+    assert (
+        main(
+            [
+                "eval",
+                "--task",
+                "pose",
+                "--pred",
+                str(stream),
+                "--truth",
+                str(tmp_path / "clean" / "stream.jsonl"),
+                "-o",
+                str(eval_path),
+            ]
+        )
+        == 0
+    )
+    capsys.readouterr()
+    with open(stream, "r", encoding="utf-8") as fh:
+        monkeypatch.setattr("sys.stdin", fh)
+        watch_exit = main(["watch", "-c", str(site_path)])
+    watch_stdout = capsys.readouterr().out
+
+    got = {
+        name: _sha256(tmp_path / "noisy" / name)
+        for name in ("stream.jsonl", "ground_truth.json")
+    }
+    got.update(
+        {
+            name: _sha256(out_dir / name)
+            for name in ("timeline.csv", "alerts.csv", "meta.json", "report.csv", "cycles.csv")
+        }
+    )
+    got["watch.stdout"] = hashlib.sha256(watch_stdout.encode("utf-8")).hexdigest()
+    got["eval_pose.csv"] = _sha256(eval_path)
+    return got, watch_exit
+
+
+def test_noisy_scenario_artifacts_are_byte_identical(tmp_path, capsys, monkeypatch):
+    got, watch_exit = _noisy_artifacts(tmp_path, capsys, monkeypatch)
+    assert got == NOISY_DIGESTS
+    assert watch_exit == NOISY_WATCH_EXIT

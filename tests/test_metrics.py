@@ -19,10 +19,11 @@ from sitewatch.metrics import (
     segment_ap,
     temporal_iou,
 )
-from sitewatch.streams import KEYPOINT_NAMES, Keypoint, MachineClass, Pose
+from sitewatch.streams import KEYPOINT_NAMES, MachineClass
 
 from helpers import (
     AP_FIXTURES,
+    keypoint,
     make_pose,
     oracle_detection_ap,
     oracle_keypoint_ap,
@@ -190,12 +191,7 @@ def test_oks_scale_invariance():
     base = oks(pred, truth, scale=60.0)
 
     def scaled(pose, factor):
-        return Pose(
-            {
-                name: Keypoint(name, kp.x * factor, kp.y * factor, kp.confidence)
-                for name, kp in pose.keypoints.items()
-            }
-        )
+        return tuple((x * factor, y * factor, conf) for x, y, conf in pose)
 
     assert oks(scaled(pred, 3.0), scaled(truth, 3.0), scale=180.0) == pytest.approx(
         base, abs=1e-12
@@ -210,13 +206,8 @@ def test_oks_symmetric_when_fully_visible():
 
 def test_oks_ignores_invisible_truth_keypoints():
     truth = make_pose(conf_overrides={"boom_base": 0.0})
-    moved = truth.keypoints["boom_base"]
-    pred = Pose(
-        {
-            **truth.keypoints,
-            "boom_base": Keypoint("boom_base", moved.x + 500.0, moved.y, 1.0),
-        }
-    )
+    x, y, _ = keypoint(truth, "boom_base")
+    pred = make_pose(point_overrides={"boom_base": (x + 500.0, y)})
     assert oks(pred, truth, 50.0) == 1.0
 
 
@@ -248,7 +239,7 @@ def test_oks_agrees_with_oracle():
                 name: 0.0 for name in KEYPOINT_NAMES if rng.random() < 0.3
             },
         )
-        if all(kp.confidence == 0.0 for kp in truth.keypoints.values()):
+        if all(conf == 0.0 for _, _, conf in truth):
             continue
         pred = shift_pose(truth, rng.uniform(-40, 40), rng.uniform(-40, 40))
         scale = rng.uniform(20.0, 120.0)

@@ -1,14 +1,15 @@
-"""The streaming analyzer's memory: state history kept as runs."""
+"""The streaming analyzer's memory: state history kept as runs, no alerts kept."""
 
 import tracemalloc
 
 from sitewatch.activity import ActionState, expand_runs
 from sitewatch.config import SiteConfig
-from sitewatch.pipeline import analyze_stream
+from sitewatch.pipeline import StreamAnalyzer, analyze_stream
 from sitewatch.streams import (
     Detection,
     MachineClass,
     PerceptionFrame,
+    parse_stream,
     serialize_frame,
     serialize_header,
 )
@@ -30,14 +31,22 @@ def _parked_excavator_lines(n_frames):
         yield serialize_frame(PerceptionFrame(f, detections, poses))
 
 
-def _peak_traced_bytes(n_frames, site):
+def _traced_peak(run):
+    """run()'s result and the peak of memory traced while it ran."""
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        result = analyze_stream(_parked_excavator_lines(n_frames), site)
+        result = run()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return result, peak
+
+
+def _peak_traced_bytes(n_frames, site):
+    result, peak = _traced_peak(
+        lambda: analyze_stream(_parked_excavator_lines(n_frames), site)
+    )
     assert result.frame_count == n_frames
     assert result.alerts == []
     assert [state for state, _, _ in result.runs[result.primary_track]] == [
@@ -73,3 +82,43 @@ def test_result_states_expand_the_runs():
         (ActionState.DIGGING, 1, 74),
         (ActionState.IDLE, 75, 119),
     ]
+
+
+def _parked_pair_lines(n_frames):
+    """A human and a loader parked in the digging square: every frame alerts."""
+    yield serialize_header(make_header())
+    detections = (
+        Detection(MachineClass.HUMAN, (180.0, 120.0, 40.0, 100.0), 0.9),
+        Detection(MachineClass.LOADER, (150.0, 150.0, 100.0, 80.0), 0.9),
+    )
+    for f in range(n_frames):
+        yield serialize_frame(PerceptionFrame(f, detections, ()))
+
+
+def _watch(n_frames, site):
+    """Feed a StreamAnalyzer frame by frame, as ``watch`` does."""
+    parser = parse_stream(_parked_pair_lines(n_frames))
+    analyzer = StreamAnalyzer(site, parser.header)
+    alerting_frames = 0
+    for frame in parser:
+        if analyzer.process_frame(frame):
+            alerting_frames += 1
+    return analyzer, alerting_frames
+
+
+def _peak_watch_bytes(n_frames, site):
+    (analyzer, alerting_frames), peak = _traced_peak(lambda: _watch(n_frames, site))
+    assert alerting_frames == n_frames
+    assert analyzer.monitor.pause_events == [("pause_raised", 0)]
+    return peak
+
+
+def test_watch_memory_does_not_grow_with_alerts():
+    site = SiteConfig(regions=REGIONS)
+    n = 250
+    # One untraced pass of the longer stream first, as above.
+    _watch(10 * n, site)
+    short = _peak_watch_bytes(n, site)
+    long = _peak_watch_bytes(10 * n, site)
+    per_frame = (long - short) / (9 * n)
+    assert per_frame < 1.0, f"{per_frame:.2f} B per added frame"

@@ -212,12 +212,17 @@ def test_monitor_logs_alerts_and_pause_events():
     far_box = (1500.0, 900.0, 40.0, 40.0)
     exc = _track(1, EXC)
     loader = _track(2, LOADER)
+    alerts = []
     for f in range(3):
-        monitor.step(f, [(exc, dig_box, make_pose(arm=DIG_CENTER)), (loader, dig_box, None)])
+        alerts += monitor.step(
+            f, [(exc, dig_box, make_pose(arm=DIG_CENTER)), (loader, dig_box, None)]
+        )
     for f in range(3, 8):
-        monitor.step(f, [(exc, dig_box, make_pose(arm=DIG_CENTER)), (loader, far_box, None)])
-    assert [a.frame for a in monitor.alerts] == [0, 1, 2]
-    assert monitor.alerts[0].tracks == ((1, EXC), (2, LOADER))
+        alerts += monitor.step(
+            f, [(exc, dig_box, make_pose(arm=DIG_CENTER)), (loader, far_box, None)]
+        )
+    assert [a.frame for a in alerts] == [0, 1, 2]
+    assert alerts[0].tracks == ((1, EXC), (2, LOADER))
     assert monitor.pause_events == [("pause_raised", 0), ("pause_cleared", 5)]
     assert not monitor.pause.active
 

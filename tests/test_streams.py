@@ -7,19 +7,23 @@ import random
 import pytest
 
 from sitewatch.errors import StreamFormatError
+import sitewatch.streams as streams
 from sitewatch.streams import (
+    ARM,
+    ARM_JOINT,
+    BODY,
+    BUCKET_END1,
+    BUCKET_END2,
+    BUCKET_JOINT,
     KEYPOINT_NAMES,
     Detection,
-    Keypoint,
     MachineClass,
     PerceptionFrame,
-    Pose,
     dedupe_frame,
     parse_stream,
     serialize_frame,
     serialize_header,
     serialize_stream,
-    soft_nms,
     soft_nms_indexed,
 )
 
@@ -27,6 +31,7 @@ from helpers import (
     _H,
     MALFORMED_STREAMS,
     frame_line,
+    keypoint,
     make_detection,
     make_header,
     make_pose,
@@ -130,7 +135,7 @@ def test_integers_that_fit_a_float_still_parse():
     assert frame.detections == (Detection(MachineClass.EXCAVATOR, (10.0, 20.0, 200.0, 100.0), 1.0),)
     assert all(type(v) is float for v in frame.detections[0].bbox)
     assert type(frame.detections[0].score) is float
-    assert frame.poses[0][1].keypoints["body1"] == Keypoint("body1", 10.0, 20.0, 0.9)
+    assert keypoint(frame.poses[0][1], "body1") == (10.0, 20.0, 0.9)
 
 
 def test_lenient_mode_still_requires_a_valid_header():
@@ -147,10 +152,7 @@ def test_blank_lines_and_bytes_input_are_handled():
 def test_pose_must_reference_an_excavator_detection():
     det = '[{"class":"loader","bbox":[10.0,20.0,200.0,100.0],"score":0.9}]'
     pose = make_pose()
-    kps = ",".join(
-        f'"{n}":[{pose.keypoints[n].x},{pose.keypoints[n].y},1.0]'
-        for n in pose.keypoints
-    )
+    kps = ",".join(f'"{n}":[{x},{y},1.0]' for n, (x, y, _) in zip(KEYPOINT_NAMES, pose))
     line = frame_line(0, det, f'[{{"det":0,"keypoints":{{{kps}}}}}]')
     with pytest.raises(StreamFormatError) as err:
         list(parse_stream([_H, line]))
@@ -159,24 +161,11 @@ def test_pose_must_reference_an_excavator_detection():
 
 def test_pose_det_index_out_of_range_rejected():
     pose = make_pose()
-    kps = ",".join(
-        f'"{n}":[{pose.keypoints[n].x},{pose.keypoints[n].y},1.0]'
-        for n in pose.keypoints
-    )
+    kps = ",".join(f'"{n}":[{x},{y},1.0]' for n, (x, y, _) in zip(KEYPOINT_NAMES, pose))
     line = frame_line(0, "[]", f'[{{"det":0,"keypoints":{{{kps}}}}}]')
     with pytest.raises(StreamFormatError) as err:
         list(parse_stream([_H, line]))
     assert "out of range" in str(err.value)
-
-
-def test_pose_dataclass_validates_keypoint_set():
-    with pytest.raises(ValueError):
-        Pose({"bucket_joint": Keypoint("bucket_joint", 0.0, 0.0, 1.0)})
-    with pytest.raises(ValueError):
-        pose = make_pose()
-        bad = dict(pose.keypoints)
-        bad["body1"] = Keypoint("body2", 0.0, 0.0, 1.0)
-        Pose(bad)
 
 
 def test_serialized_frame_matches_json_dumps():
@@ -195,8 +184,7 @@ def test_serialized_frame_matches_json_dumps():
                     {
                         "det": det_idx,
                         "keypoints": {
-                            name: [kp.x, kp.y, kp.confidence]
-                            for name, kp in pose.keypoints.items()
+                            name: list(kp) for name, kp in zip(KEYPOINT_NAMES, pose)
                         },
                     }
                     for det_idx, pose in frame.poses
@@ -222,7 +210,7 @@ def test_serialize_prints_equal_numbers_of_other_types_as_json_dumps_does():
     ]
     for _ in range(2):
         for x, y, conf in variants:
-            pose = Pose({name: Keypoint(name, x, y, conf) for name in KEYPOINT_NAMES})
+            pose = tuple((x, y, conf) for _ in KEYPOINT_NAMES)
             frame = PerceptionFrame(0, (det,), ((0, pose),))
             expected = {
                 "index": 0,
@@ -241,17 +229,38 @@ def test_serialize_prints_equal_numbers_of_other_types_as_json_dumps_does():
             assert serialize_frame(frame) == line
 
 
-def test_parsed_keypoints_are_keypoint_records():
-    pose = make_pose()
+def test_parsed_pose_is_ten_float_triples():
+    pose = make_pose(conf_overrides={"boom_base": 0.5})
     line = serialize_frame(PerceptionFrame(0, (make_detection("excavator"),), ((0, pose),)))
     (frame,) = parse_stream([_H, line])
     parsed = frame.poses[0][1]
+    assert type(parsed) is tuple
+    assert len(parsed) == len(KEYPOINT_NAMES) == 10
+    for kp in parsed:
+        assert type(kp) is tuple
+        assert len(kp) == 3
+        assert all(type(v) is float for v in kp)
     assert parsed == pose
-    for name, kp in parsed.keypoints.items():
-        assert type(kp) is Keypoint
-        assert kp.name == name
-        assert kp.point == pose.point(name)
-        assert all(type(v) is float for v in kp[1:])
+
+
+def test_pose_layout_positions_name_their_keypoints():
+    assert KEYPOINT_NAMES[BODY] == ("body1", "body2", "body3", "body4")
+    assert KEYPOINT_NAMES[ARM] == ("bucket_end1", "bucket_end2", "bucket_joint", "arm_joint")
+    named = {
+        "bucket_end1": BUCKET_END1,
+        "bucket_end2": BUCKET_END2,
+        "bucket_joint": BUCKET_JOINT,
+        "arm_joint": ARM_JOINT,
+    }
+    for name, index in named.items():
+        assert KEYPOINT_NAMES[index] == name
+
+
+def test_every_name_in_all_resolves():
+    # A stale __all__ entry makes the star import raise AttributeError.
+    namespace = {}
+    exec("from sitewatch.streams import *", namespace)
+    assert set(streams.__all__) <= namespace.keys()
 
 
 def test_round_trip_parse_of_serialize_is_identity():
@@ -273,11 +282,11 @@ def test_serialize_header_round_trip():
 def test_soft_nms_duplicate_box_decays_to_known_value():
     box = (0.0, 0.0, 100.0, 50.0)
     dets = [make_detection(bbox=box, score=0.9), make_detection(bbox=box, score=0.8)]
-    out = soft_nms(dets)
-    assert [d.score for d in out] == [0.9, 0.8 * math.exp(-2.0)]
+    out = soft_nms_indexed(dets)
+    assert [d.score for _, d in out] == [0.9, 0.8 * math.exp(-2.0)]
     # A floor above the decayed value keeps only the winner.
-    out = soft_nms(dets, score_floor=0.2)
-    assert [d.score for d in out] == [0.9]
+    out = soft_nms_indexed(dets, score_floor=0.2)
+    assert [d.score for _, d in out] == [0.9]
 
 
 def test_soft_nms_disjoint_boxes_untouched():
@@ -285,11 +294,11 @@ def test_soft_nms_disjoint_boxes_untouched():
         make_detection(bbox=(0.0, 0.0, 10.0, 10.0), score=0.9),
         make_detection(bbox=(500.0, 500.0, 10.0, 10.0), score=0.8),
     ]
-    assert soft_nms(dets) == dets
+    assert [d for _, d in soft_nms_indexed(dets)] == dets
 
 
 def test_soft_nms_empty_input():
-    assert soft_nms([]) == []
+    assert soft_nms_indexed([]) == []
 
 
 def test_soft_nms_classes_never_suppress_each_other():
@@ -298,7 +307,7 @@ def test_soft_nms_classes_never_suppress_each_other():
         make_detection("excavator", box, 0.9),
         make_detection("loader", box, 0.8),
     ]
-    assert soft_nms(dets) == dets
+    assert [d for _, d in soft_nms_indexed(dets)] == dets
 
 
 def test_soft_nms_never_increases_scores_or_count():
@@ -328,11 +337,11 @@ def test_soft_nms_matches_naive_reference():
 
 def test_soft_nms_rejects_bad_parameters():
     with pytest.raises(ValueError):
-        soft_nms([], iou_threshold=1.5)
+        soft_nms_indexed([], iou_threshold=1.5)
     with pytest.raises(ValueError):
-        soft_nms([], decay=0.0)
+        soft_nms_indexed([], decay=0.0)
     with pytest.raises(ValueError):
-        soft_nms([], score_floor=-0.1)
+        soft_nms_indexed([], score_floor=-0.1)
 
 
 def test_dedupe_frame_remaps_pose_references():
