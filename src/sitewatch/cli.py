@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .activity import ActionTimeline, read_timeline_csv, write_timeline_csv
@@ -33,7 +35,7 @@ from .productivity import (
     write_cycles_csv,
     write_report_csv,
 )
-from .simulator import cyclic_gc_paused, load_scenario, run_scenario
+from .simulator import load_scenario, run_scenario
 from .streams import parse_stream, read_stream
 
 
@@ -45,13 +47,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_alerts_csv(alerts, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("frame", "offset_s", "region", "tracks"))
+def _alerts_csv_writer(fh):
+    """Write the alerts.csv header to ``fh``; returns the row writer."""
+    writer = csv.writer(fh)
+    writer.writerow(("frame", "offset_s", "region", "tracks"))
+
+    def write_alerts(alerts) -> None:
         for alert in alerts:
             tracks = ";".join(f"{tid}:{cls.value}" for tid, cls in alert.tracks)
             writer.writerow([alert.frame, repr(alert.offset_s), alert.region.value, tracks])
+
+    return write_alerts
 
 
 def _write_meta(result: AnalysisResult, path) -> None:
@@ -64,7 +70,7 @@ def _write_meta(result: AnalysisResult, path) -> None:
         "skipped": result.skipped,
         "tracks": {str(tid): cls.value for tid, cls in sorted(result.track_classes.items())},
         "primary_track": result.primary_track,
-        "alerts": len(result.alerts),
+        "alerts": result.alert_count,
         "pause": {
             "active": result.pause.active,
             "raised_at": result.pause.raised_at,
@@ -82,26 +88,31 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     stream_path = out / "stream.jsonl"
     truth_path = out / "ground_truth.json"
-    # The frames are written and freed before collection resumes.
-    with cyclic_gc_paused():
-        sim = run_scenario(config, inject)
-        out.mkdir(parents=True, exist_ok=True)
-        sim.write(stream_path, truth_path)
-        n_frames = len(sim.frames)
-        n_cycles = len(sim.truth.cycles)
-        n_alert_frames = len(sim.truth.alert_frames)
-        del sim
+    sim = run_scenario(config, inject)
+    out.mkdir(parents=True, exist_ok=True)
+    sim.write(stream_path, truth_path)
     print(f"stream: {stream_path}")
     print(f"ground_truth: {truth_path}")
-    print(f"frames: {n_frames}")
-    print(f"true_cycles: {n_cycles}")
-    print(f"alert_frames: {n_alert_frames}")
+    print(f"frames: {len(sim.frames)}")
+    print(f"true_cycles: {len(sim.truth.cycles)}")
+    print(f"alert_frames: {len(sim.truth.alert_frames)}")
     return EXIT_OK
 
 
 def _analyze_one(stream_path: Path, site, out: Path, strict: bool) -> None:
-    result = analyze_file(stream_path, site, strict=strict)
     out.mkdir(parents=True, exist_ok=True)
+    # Alert rows are written as the analysis finds them, to a part file
+    # that becomes alerts.csv only once the whole stream has parsed.
+    alerts_part = out / "alerts.csv.part"
+    try:
+        with open(alerts_part, "w", encoding="utf-8", newline="") as fh:
+            result = analyze_file(
+                stream_path, site, strict=strict, on_alerts=_alerts_csv_writer(fh)
+            )
+    except BaseException:
+        alerts_part.unlink(missing_ok=True)
+        raise
+    os.replace(alerts_part, out / "alerts.csv")
     fps = result.header.fps
     timeline = (
         result.timelines[result.primary_track]
@@ -111,14 +122,13 @@ def _analyze_one(stream_path: Path, site, out: Path, strict: bool) -> None:
     write_timeline_csv(timeline, out / "timeline.csv")
     write_cycles_csv(result.cycles, fps, out / "cycles.csv")
     write_report_csv(result.report, out / "report.csv")
-    _write_alerts_csv(result.alerts, out / "alerts.csv")
     _write_meta(result, out / "meta.json")
     print(f"analyzed: {stream_path}")
     print(f"frames: {result.frame_count} (skipped {result.skipped})")
     print(f"tracks: {len(result.track_classes)}")
     for key, value in report_rows(result.report):
         print(f"{key}: {value}" if value != "" else f"{key}:")
-    print(f"alerts: {len(result.alerts)}")
+    print(f"alerts: {result.alert_count}")
     print(f"pause_active: {str(result.pause.active).lower()}")
 
 
@@ -252,9 +262,27 @@ def _eval_action(args) -> list[tuple[str, str]]:
     return rows
 
 
+@contextmanager
+def cyclic_gc_paused():
+    """Hold off automatic cyclic garbage collection inside the block.
+
+    ``eval`` keeps both streams' frames and the matches built from them,
+    many small containers, none of them part of a reference cycle.  Left
+    on, the collector rescans that growing heap again and again and
+    frees nothing.  Paused, it scans them at most once, after the block,
+    and not at all if they are freed inside it.  Nested use is a no-op.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
 def cmd_eval(args) -> int:
-    # Both streams' frames stay alive while the matches are built; none
-    # of them is in a reference cycle, and they are freed inside the block.
     with cyclic_gc_paused():
         if args.task == "det":
             rows = _eval_det(args)

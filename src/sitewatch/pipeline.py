@@ -10,7 +10,7 @@ reporting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .activity import (
     ActionClassifier,
@@ -43,7 +43,8 @@ class AnalysisResult:
     primary_track: int | None
     cycles: list[CycleRecord]
     report: ProductivityReport
-    alerts: list[Alert]
+    alerts: list[Alert]  # empty when an ``on_alerts`` sink took them
+    alert_count: int
     pause: PauseSignal
     pause_events: list[tuple[str, int]]
 
@@ -60,6 +61,7 @@ class StreamAnalyzer:
         self.site = site
         self.header = header
         self.frame_count = 0
+        self.alert_count = 0
         self.tracker = IouTracker(site.track_iou, site.track_miss_cap)
         self.monitor = SafetyMonitor(
             site.regions,
@@ -96,10 +98,16 @@ class StreamAnalyzer:
                 classifier.step(frame.index, pose, bbox)
         frame_tracks.sort(key=lambda item: item[0].track_id)
         self.frame_count += 1
-        return self.monitor.step(frame.index, frame_tracks)
+        alerts = self.monitor.step(frame.index, frame_tracks)
+        self.alert_count += len(alerts)
+        return alerts
 
     def finish(self, alerts: list[Alert], skipped: int = 0) -> AnalysisResult:
-        """Close the analysis; ``alerts`` are the ones process_frame returned."""
+        """Close the analysis.
+
+        ``alerts`` are the process_frame results the caller kept, if it
+        kept them; ``alert_count`` counts every alert either way.
+        """
         timelines = {
             track_id: build_timeline(
                 classifier.runs, self.header.fps, self.site.activity.min_segment_s
@@ -137,22 +145,40 @@ class StreamAnalyzer:
             cycles=detect_cycles(primary_timeline),
             report=report,
             alerts=alerts,
+            alert_count=self.alert_count,
             pause=self.monitor.pause,
             pause_events=list(self.monitor.pause_events),
         )
 
 
+AlertSink = Callable[[list[Alert]], object]
+
+
 def analyze_stream(
-    lines: Iterable[str | bytes], site: SiteConfig, strict: bool = True
+    lines: Iterable[str | bytes],
+    site: SiteConfig,
+    strict: bool = True,
+    on_alerts: AlertSink | None = None,
 ) -> AnalysisResult:
+    """Analyze a whole stream.
+
+    Each frame's alerts are collected into ``result.alerts``, or, given
+    ``on_alerts``, handed to it as they are found and not kept;
+    ``result.alert_count`` counts them either way.
+    """
     parser = parse_stream(lines, strict=strict)
     analyzer = StreamAnalyzer(site, parser.header)
     alerts: list[Alert] = []
+    sink = alerts.extend if on_alerts is None else on_alerts
     for frame in parser:
-        alerts += analyzer.process_frame(frame)
+        found = analyzer.process_frame(frame)
+        if found:
+            sink(found)
     return analyzer.finish(alerts, skipped=parser.skipped)
 
 
-def analyze_file(path, site: SiteConfig, strict: bool = True) -> AnalysisResult:
+def analyze_file(
+    path, site: SiteConfig, strict: bool = True, on_alerts: AlertSink | None = None
+) -> AnalysisResult:
     with open(path, "r", encoding="utf-8") as fh:
-        return analyze_stream(fh, site, strict=strict)
+        return analyze_stream(fh, site, strict=strict, on_alerts=on_alerts)

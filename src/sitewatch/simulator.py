@@ -18,11 +18,9 @@ on every platform.
 
 from __future__ import annotations
 
-import gc
 import json
 import math
 import random
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence
 
@@ -247,27 +245,6 @@ class GroundTruth:
         )
 
 
-@dataclass
-class Simulation:
-    """A generated stream bundled with its ground truth."""
-
-    config: ScenarioConfig
-    header: StreamHeader
-    frames: list[PerceptionFrame]
-    truth: GroundTruth
-    probe_points: list[Point]  # pre-noise probe per frame (alert oracle)
-
-    def lines(self) -> Iterator[str]:
-        return serialize_stream(self.header, self.frames)
-
-    def write(self, stream_path, truth_path=None) -> None:
-        write_stream(stream_path, self.header, self.frames)
-        if truth_path is not None:
-            with open(truth_path, "w", encoding="utf-8") as fh:
-                json.dump(self.truth.to_dict(), fh)
-                fh.write("\n")
-
-
 def _frame_of(t_s: float, fps: float) -> int:
     # Half-up rounding keeps phase boundaries stable and makes scripted
     # spans sum exactly (banker's rounding would drift on .5 boundaries).
@@ -361,91 +338,82 @@ def _overshoot_path(origin: Point, target: Point, length: float):
     return position
 
 
-class _ExcavatorPath:
-    """Pre-noise body and probe positions for every frame."""
-
-    def __init__(
-        self,
-        phases: Sequence[tuple[ActionState, int, int]],
-        config: ScenarioConfig,
-        scripted_frames: Sequence[int] | None = None,
-    ):
-        dig_region = next(r for r in config.regions if r.label is RegionLabel.DIGGING)
-        dump_region = next(r for r in config.regions if r.label is RegionLabel.DUMPING)
-        self.dig_anchor = polygon_centroid(dig_region.polygon)
-        self.dump_anchor = polygon_centroid(dump_region.polygon)
-        mid_x = (self.dig_anchor[0] + self.dump_anchor[0]) / 2.0
-        mid_y = (self.dig_anchor[1] + self.dump_anchor[1]) / 2.0
-        self.body_center = (
-            min(max(mid_x, 150.0), config.width - 150.0),
-            min(max(mid_y + 250.0, 150.0), config.height - 150.0),
-        )
-        self.body_offset: list[Point] = []
-        self.probe: list[Point] = []
-        offset = _FACING_DUMP  # the lead-in swing heads for the dig area
-        probe = self.dump_anchor
-        arm_step = config.arm_step
-        for i, (state, first, last) in enumerate(phases):
-            n = last - first + 1
-            # Full scripted length; larger than n only for a phase the
-            # stream end cuts short, so motion keeps its natural pace.
-            n_scripted = scripted_frames[i] if scripted_frames else n
-            if state in (ActionState.DIGGING, ActionState.DUMPING):
-                anchor = (
-                    self.dig_anchor
-                    if state is ActionState.DIGGING
-                    else self.dump_anchor
-                )
-                for k in range(n):
-                    self.body_offset.append(offset)
-                    self.probe.append(
-                        (anchor[0], anchor[1] + arm_step * _OSC_WAVE[k % 8])
-                    )
-                probe = anchor
-            elif state is ActionState.IDLE:
-                frozen = self.probe[-1] if self.probe else probe
-                for _ in range(n):
-                    self.body_offset.append(offset)
-                    self.probe.append(frozen)
+def _excavator_path(
+    phases: Sequence[tuple[ActionState, int, int]],
+    scripted_frames: Sequence[int],
+    config: ScenarioConfig,
+) -> Iterator[tuple[Point, Point]]:
+    """Pre-noise carbody offset and probe position, frame by frame."""
+    dig_anchor, dump_anchor = _anchors(config)
+    offset = _FACING_DUMP  # the lead-in swing heads for the dig area
+    probe = dump_anchor
+    last_probe: Point | None = None
+    arm_step = config.arm_step
+    for (state, first, last), n_scripted in zip(phases, scripted_frames):
+        # n_scripted is the full scripted length; larger than n only for
+        # a phase the stream end cuts short, so motion keeps its pace.
+        n = last - first + 1
+        if state in (ActionState.DIGGING, ActionState.DUMPING):
+            anchor = dig_anchor if state is ActionState.DIGGING else dump_anchor
+            for k in range(n):
+                last_probe = (anchor[0], anchor[1] + arm_step * _OSC_WAVE[k % 8])
+                yield offset, last_probe
+            probe = anchor
+        elif state is ActionState.IDLE:
+            frozen = probe if last_probe is None else last_probe
+            for _ in range(n):
+                yield offset, frozen
+            last_probe = frozen
+        else:
+            if state is ActionState.SWING_FOR_DIGGING:
+                target_offset, target_probe = _FACING_DIG, dig_anchor
             else:
-                target_offset = (
-                    _FACING_DIG
-                    if state is ActionState.SWING_FOR_DIGGING
-                    else _FACING_DUMP
+                target_offset, target_probe = _FACING_DUMP, dump_anchor
+            path = _overshoot_path(
+                offset, target_offset, config.swing_speed * n_scripted
+            )
+            last_offset = offset
+            for k in range(n):
+                last_offset = path(config.swing_speed * (k + 1))
+                t = (k + 1) / n_scripted
+                last_probe = (
+                    probe[0] + (target_probe[0] - probe[0]) * t,
+                    probe[1] + (target_probe[1] - probe[1]) * t,
                 )
-                target_probe = (
-                    self.dig_anchor
-                    if state is ActionState.SWING_FOR_DIGGING
-                    else self.dump_anchor
-                )
-                path = _overshoot_path(
-                    offset, target_offset, config.swing_speed * n_scripted
-                )
-                last_probe = probe
-                for k in range(n):
-                    self.body_offset.append(path(config.swing_speed * (k + 1)))
-                    t = (k + 1) / n_scripted
-                    last_probe = (
-                        probe[0] + (target_probe[0] - probe[0]) * t,
-                        probe[1] + (target_probe[1] - probe[1]) * t,
-                    )
-                    self.probe.append(last_probe)
-                offset = self.body_offset[-1] if n < n_scripted else target_offset
-                probe = last_probe if n < n_scripted else target_probe
+                yield last_offset, last_probe
+            offset = last_offset if n < n_scripted else target_offset
+            probe = last_probe if n < n_scripted else target_probe
 
-    def pose_points(self, frame: int) -> dict[str, Point]:
-        ox, oy = self.body_offset[frame]
-        bx = self.body_center[0] + ox
-        by = self.body_center[1] + oy
-        px, py = self.probe[frame]
-        points: dict[str, Point] = {}
-        for name, (cx, cy) in zip(("body1", "body2", "body3", "body4"), _BODY_CORNERS):
-            points[name] = (bx + cx, by + cy)
-        for name, (dx, dy) in _ARM_OFFSETS.items():
-            points[name] = (px + dx, py + dy)
-        points["boom_cylinder"] = (bx + (px - bx) * 0.45, by + (py - by) * 0.45 - 30.0)
-        points["boom_base"] = (bx + (px - bx) * 0.15, by + (py - by) * 0.15 - 20.0)
-        return points
+
+def _anchors(config: ScenarioConfig) -> tuple[Point, Point]:
+    """The digging and dumping area centroids, where the bucket works."""
+    dig = next(r for r in config.regions if r.label is RegionLabel.DIGGING)
+    dump = next(r for r in config.regions if r.label is RegionLabel.DUMPING)
+    return polygon_centroid(dig.polygon), polygon_centroid(dump.polygon)
+
+
+def _body_center(config: ScenarioConfig) -> Point:
+    dig_anchor, dump_anchor = _anchors(config)
+    mid_x = (dig_anchor[0] + dump_anchor[0]) / 2.0
+    mid_y = (dig_anchor[1] + dump_anchor[1]) / 2.0
+    return (
+        min(max(mid_x, 150.0), config.width - 150.0),
+        min(max(mid_y + 250.0, 150.0), config.height - 150.0),
+    )
+
+
+def _pose_points(body_center: Point, offset: Point, probe: Point) -> dict[str, Point]:
+    bx = body_center[0] + offset[0]
+    by = body_center[1] + offset[1]
+    px, py = probe
+    points: dict[str, Point] = {}
+    for name, (cx, cy) in zip(("body1", "body2", "body3", "body4"), _BODY_CORNERS):
+        points[name] = (bx + cx, by + cy)
+    for name, (dx, dy) in _ARM_OFFSETS.items():
+        points[name] = (px + dx, py + dy)
+    points["boom_cylinder"] = (bx + (px - bx) * 0.45, by + (py - by) * 0.45 - 30.0)
+    points["boom_base"] = (bx + (px - bx) * 0.15, by + (py - by) * 0.15 - 20.0)
+    return points
 
 
 def _confident_pose(points: dict[str, Point]) -> Pose:
@@ -470,141 +438,192 @@ def _clamp_bbox(bbox: BBox, width: int, height: int) -> BBox:
     return (x, y, w, h)
 
 
-def compute_alert_frames(
-    probe_points: Sequence[Point],
-    machines: Sequence[MachineSpec],
-    regions: Sequence[Region],
-    fps: float,
-) -> list[int]:
-    """Frames on which the safety rule must alert, from scripted truth.
+@dataclass(frozen=True)
+class _Plan:
+    """What a seed fixes before any frame is drawn."""
 
-    The excavator (track 0) is located by its pre-noise probe point;
-    roster machines by their bbox bottom-center while present.
+    phases: tuple[tuple[ActionState, int, int], ...]
+    scripted_frames: tuple[int, ...]  # each phase's full scripted length
+    n_frames: int
+    rng_state: tuple  # the RNG right after the phase script was drawn
+
+
+class Simulation:
+    """A generated stream bundled with its ground truth.
+
+    No frame is stored.  ``frames`` is a sized view whose every iteration
+    builds the frames afresh from the RNG state saved right after the
+    phase script was drawn, so each pass yields the same frames and
+    ``write`` holds one frame at a time.  The ideal-perception replay and
+    the alert oracle step in the same pass: the first pass that reaches
+    the end fills ``truth``, and reading ``truth`` before any such pass
+    runs one and discards its frames.
     """
-    anchors = [bbox_bottom_center(m.bbox) for m in machines]
-    frames: list[int] = []
-    for f, probe in enumerate(probe_points):
-        locations = {0: locate_point(probe, regions)}
-        classes = {0: MachineClass.EXCAVATOR}
-        for i, spec in enumerate(machines):
-            if spec.present(f):
-                locations[i + 1] = locate_point(anchors[i], regions)
-                classes[i + 1] = spec.cls
-        if check_collision(locations, classes, f, fps):
-            frames.append(f)
-    return frames
+
+    def __init__(
+        self,
+        config: ScenarioConfig,
+        header: StreamHeader,
+        plan: _Plan,
+        injected: tuple[MachineSpec, ...] = (),
+    ):
+        self.config = config
+        self.header = header
+        self._plan = plan
+        self._injected = injected  # see inject_collision
+        self._truth: GroundTruth | None = None
+
+    @property
+    def frames(self) -> SimulatedFrames:
+        return SimulatedFrames(self)
+
+    @property
+    def truth(self) -> GroundTruth:
+        if self._truth is None:
+            for _ in self._run():
+                pass
+        return self._truth
+
+    def lines(self) -> Iterator[str]:
+        return serialize_stream(self.header, self.frames)
+
+    def write(self, stream_path, truth_path=None) -> None:
+        write_stream(stream_path, self.header, self.frames)
+        if truth_path is not None:
+            with open(truth_path, "w", encoding="utf-8") as fh:
+                json.dump(self.truth.to_dict(), fh)
+                fh.write("\n")
+
+    def _run(self) -> Iterator[PerceptionFrame]:
+        """One pass: build each frame, step the truth, yield the frame."""
+        config = self.config
+        plan = self._plan
+        noise = config.noise
+        rng = random.Random()
+        rng.setstate(plan.rng_state)
+        body_center = _body_center(config)
+        replay = ActionClassifier(config.regions, config.fps, config.activity)
+        # The alert oracle locates the excavator (track 0) by its
+        # pre-noise probe, where the bucket joint sits, and each roster
+        # machine by its bbox bottom-center while present.
+        last_frame = plan.n_frames - 1
+        roster = tuple(
+            replace(m, exit_frame=last_frame if m.exit_frame is None else m.exit_frame)
+            for m in config.machines
+        ) + self._injected
+        roster_locations = [
+            locate_point(bbox_bottom_center(m.bbox), config.regions) for m in roster
+        ]
+        alert_frames: list[int] = []
+        path = _excavator_path(plan.phases, plan.scripted_frames, config)
+        for f, (offset, probe) in enumerate(path):
+            points = _pose_points(body_center, offset, probe)
+            bbox = _pose_bbox(points, config)
+            true_pose = _confident_pose(points)
+            replay.step(f, true_pose, bbox)
+
+            detections: list[Detection] = []
+            poses: list[tuple[int, Pose]] = []
+            dropped = noise.drop_prob > 0 and rng.random() < noise.drop_prob
+            if not dropped:
+                emitted_pose = true_pose
+                if noise.keypoint_sigma > 0:
+                    emitted = {
+                        name: (
+                            x + rng.gauss(0.0, noise.keypoint_sigma),
+                            y + rng.gauss(0.0, noise.keypoint_sigma),
+                        )
+                        for name, (x, y) in points.items()
+                    }
+                    emitted_pose = _confident_pose(emitted)
+                out_bbox = bbox
+                if noise.bbox_sigma > 0:
+                    out_bbox = _clamp_bbox(
+                        (
+                            bbox[0] + rng.gauss(0.0, noise.bbox_sigma),
+                            bbox[1] + rng.gauss(0.0, noise.bbox_sigma),
+                            bbox[2],
+                            bbox[3],
+                        ),
+                        config.width,
+                        config.height,
+                    )
+                detections.append(
+                    Detection(MachineClass.EXCAVATOR, out_bbox, _EXCAVATOR_SCORE)
+                )
+                poses.append((0, emitted_pose))
+            for spec in config.machines:
+                if not spec.present(f):
+                    continue
+                if noise.drop_prob > 0 and rng.random() < noise.drop_prob:
+                    continue
+                detections.append(Detection(spec.cls, spec.bbox, _MACHINE_SCORE))
+            for spec in self._injected:
+                if spec.present(f):
+                    detections.append(Detection(spec.cls, spec.bbox, _MACHINE_SCORE))
+
+            if roster:
+                locations = {0: locate_point(probe, config.regions)}
+                classes = {0: MachineClass.EXCAVATOR}
+                for i, spec in enumerate(roster):
+                    if spec.present(f):
+                        locations[i + 1] = roster_locations[i]
+                        classes[i + 1] = spec.cls
+                if check_collision(locations, classes, f, config.fps):
+                    alert_frames.append(f)
+            yield PerceptionFrame(f, tuple(detections), tuple(poses))
+
+        if self._truth is None:
+            # Cycles follow the same ideal-perception convention as
+            # states: a scripted dig cut down to a stub by the stream end
+            # is below the rule resolution and closes no cycle.
+            cycles = detect_cycles(
+                build_timeline(replay.runs, config.fps, config.activity.min_segment_s)
+            )
+            self._truth = GroundTruth(
+                fps=config.fps,
+                states=[
+                    state
+                    for state, first, last in replay.runs
+                    for _ in range(first, last + 1)
+                ],
+                phases=list(plan.phases),
+                cycles=cycles,
+                machines=roster,
+                alert_frames=alert_frames,
+            )
 
 
-@contextmanager
-def cyclic_gc_paused():
-    """Hold off automatic cyclic garbage collection inside the block.
+class SimulatedFrames:
+    """A Simulation's frames: sized, and built afresh on each iteration."""
 
-    A simulation keeps every frame it builds, about twenty tracked
-    containers each, none of them part of a reference cycle.  Left on,
-    the collector rescans that growing heap again and again and frees
-    nothing.  Paused, it scans the frames at most once, after the block,
-    and not at all if they are freed inside it.  Nested use is a no-op.
-    """
-    if not gc.isenabled():
-        yield
-        return
-    gc.disable()
-    try:
-        yield
-    finally:
-        gc.enable()
+    __slots__ = ("_sim",)
+
+    def __init__(self, sim: Simulation):
+        self._sim = sim
+
+    def __len__(self) -> int:
+        return self._sim._plan.n_frames
+
+    def __iter__(self) -> Iterator[PerceptionFrame]:
+        return self._sim._run()
 
 
 def generate(config: ScenarioConfig) -> Simulation:
-    """Generate a stream plus ground truth; same config -> same bytes."""
-    with cyclic_gc_paused():
-        return _simulate(config)
+    """Script a stream plus ground truth; same config -> same bytes.
 
-
-def _simulate(config: ScenarioConfig) -> Simulation:
+    Only the phase script is drawn here; the frames and the truth come
+    from passes over ``frames`` (see Simulation).
+    """
     rng = random.Random(config.seed)
     script = _build_script(config, rng)
     phases, n_frames, scripted_frames = _phase_frames(script, config)
     for spec in config.machines:
         if spec.entry_frame >= n_frames:
             raise ValueError("machine entry_frame is beyond the stream end")
-    path = _ExcavatorPath(phases, config, scripted_frames)
     header = StreamHeader(config.fps, config.width, config.height, config.source)
-    noise = config.noise
-
-    replay = ActionClassifier(config.regions, config.fps, config.activity)
-    frames: list[PerceptionFrame] = []
-    probe_points: list[Point] = []
-    for f in range(n_frames):
-        points = path.pose_points(f)
-        bbox = _pose_bbox(points, config)
-        probe_points.append(points["bucket_joint"])
-        true_pose = _confident_pose(points)
-        replay.step(f, true_pose, bbox)
-
-        detections: list[Detection] = []
-        poses: list[tuple[int, Pose]] = []
-        dropped = noise.drop_prob > 0 and rng.random() < noise.drop_prob
-        if not dropped:
-            emitted_pose = true_pose
-            if noise.keypoint_sigma > 0:
-                emitted = {
-                    name: (
-                        x + rng.gauss(0.0, noise.keypoint_sigma),
-                        y + rng.gauss(0.0, noise.keypoint_sigma),
-                    )
-                    for name, (x, y) in points.items()
-                }
-                emitted_pose = _confident_pose(emitted)
-            out_bbox = bbox
-            if noise.bbox_sigma > 0:
-                out_bbox = _clamp_bbox(
-                    (
-                        bbox[0] + rng.gauss(0.0, noise.bbox_sigma),
-                        bbox[1] + rng.gauss(0.0, noise.bbox_sigma),
-                        bbox[2],
-                        bbox[3],
-                    ),
-                    config.width,
-                    config.height,
-                )
-            detections.append(
-                Detection(MachineClass.EXCAVATOR, out_bbox, _EXCAVATOR_SCORE)
-            )
-            poses.append((0, emitted_pose))
-        for spec in config.machines:
-            if not spec.present(f):
-                continue
-            if noise.drop_prob > 0 and rng.random() < noise.drop_prob:
-                continue
-            detections.append(Detection(spec.cls, spec.bbox, _MACHINE_SCORE))
-        frames.append(PerceptionFrame(f, tuple(detections), tuple(poses)))
-
-    # Cycles follow the same ideal-perception convention as states: a
-    # scripted dig cut down to a stub by the stream end is below the
-    # rule resolution and closes no cycle.
-    cycles = detect_cycles(
-        build_timeline(replay.runs, config.fps, config.activity.min_segment_s)
-    )
-    machines = tuple(
-        replace(m, exit_frame=n_frames - 1 if m.exit_frame is None else m.exit_frame)
-        for m in config.machines
-    )
-    truth = GroundTruth(
-        fps=config.fps,
-        states=[
-            state
-            for state, first, last in replay.runs
-            for _ in range(first, last + 1)
-        ],
-        phases=phases,
-        cycles=cycles,
-        machines=machines,
-        alert_frames=compute_alert_frames(
-            probe_points, machines, config.regions, config.fps
-        ),
-    )
-    return Simulation(config, header, frames, truth, probe_points)
+    plan = _Plan(tuple(phases), tuple(scripted_frames), n_frames, rng.getstate())
+    return Simulation(config, header, plan)
 
 
 def inject_collision(
@@ -617,8 +636,10 @@ def inject_collision(
     """Add a second machine's detections over a frame range.
 
     The machine parks with its bbox bottom-center at ``at`` (default:
-    the digging-area centroid).  Ground-truth alert frames are
-    recomputed; states and cycles are untouched.  Returns a new
+    the digging-area centroid).  Its detection comes after the
+    configured machines' and draws no randomness, so every other byte
+    of the stream is unchanged.  Ground-truth alert frames are
+    recomputed; states and cycles are the input's.  Returns a new
     Simulation; the input is not modified.
     """
     try:
@@ -630,32 +651,11 @@ def inject_collision(
         raise ValueError("frame range outside the stream")
     config = sim.config
     if at is None:
-        dig = next(r for r in config.regions if r.label is RegionLabel.DIGGING)
-        at = polygon_centroid(dig.polygon)
+        at = _anchors(config)[0]
     w, h = (60.0, 160.0) if cls is MachineClass.HUMAN else (160.0, 120.0)
     bbox = _clamp_bbox((at[0] - w / 2.0, at[1] - h, w, h), config.width, config.height)
     spec = MachineSpec(cls, bbox, first_frame, last_frame)
-
-    frames = list(sim.frames)
-    for f in range(first_frame, last_frame + 1):
-        frame = frames[f]
-        frames[f] = PerceptionFrame(
-            frame.index,
-            frame.detections + (Detection(cls, bbox, _MACHINE_SCORE),),
-            frame.poses,
-        )
-    machines = sim.truth.machines + (spec,)
-    truth = GroundTruth(
-        fps=sim.truth.fps,
-        states=list(sim.truth.states),
-        phases=list(sim.truth.phases),
-        cycles=list(sim.truth.cycles),
-        machines=machines,
-        alert_frames=compute_alert_frames(
-            sim.probe_points, machines, config.regions, config.fps
-        ),
-    )
-    return Simulation(config, sim.header, frames, truth, list(sim.probe_points))
+    return Simulation(config, sim.header, sim._plan, sim._injected + (spec,))
 
 
 def productivity_benchmark_config(seed: int = 0) -> ScenarioConfig:

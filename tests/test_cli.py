@@ -488,6 +488,36 @@ def test_watch_rejects_corrupt_input_strictly(tmp_path, capsys, monkeypatch):
     assert "line 4" in capsys.readouterr().err
 
 
+def test_analyze_failing_mid_stream_leaves_no_alerts_csv(tmp_path, capsys):
+    # Alert rows are written as frames are analyzed; a parse error after
+    # some of them must not leave a partial alerts.csv behind.
+    site = _site_file(tmp_path, regions=REGIONS)
+    stream = tmp_path / "bad.jsonl"
+    stream.write_text(_watch_stream({0, 1, 2}, 6) + "not json\n")
+    out = tmp_path / "out"
+    code = main(["analyze", "-c", str(site), "-i", str(stream), "-o", str(out)])
+    assert code == 3
+    assert "line 8" in capsys.readouterr().err
+    assert not (out / "alerts.csv").exists()
+    assert not (out / "alerts.csv.part").exists()
+
+
+def test_analyze_writes_alerts_csv_and_counts_them(tmp_path, capsys):
+    site = _site_file(tmp_path, regions=REGIONS)
+    stream = tmp_path / "ok.jsonl"
+    stream.write_text(_watch_stream({0, 1, 2, 4}, 6))
+    out = tmp_path / "out"
+    assert main(["analyze", "-c", str(site), "-i", str(stream), "-o", str(out)]) == 0
+    assert "alerts: 4" in capsys.readouterr().out.splitlines()
+    with open(out / "alerts.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["frame", "offset_s", "region", "tracks"]
+    assert [row[0] for row in rows[1:]] == ["0", "1", "2", "4"]
+    assert rows[1][1:] == ["0.0", "digging", "1:excavator;2:loader"]
+    assert json.loads((out / "meta.json").read_text())["alerts"] == 4
+    assert not (out / "alerts.csv.part").exists()
+
+
 def test_watch_agrees_with_analyze_on_alerts_and_pause(tmp_path, capsys, monkeypatch):
     # A human stands in the digging area from frame 100 to 400; the pause
     # is raised when the bucket comes in and cleared while it is away.

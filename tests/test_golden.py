@@ -1,4 +1,4 @@
-"""Byte-for-byte pins of the criterion-1 benchmark artifacts and a noisy run.
+"""Byte-for-byte pins of the criterion-1 benchmark artifacts and noisy runs.
 
 Criterion 1 runs ``simulate`` then ``analyze`` on
 ``productivity_benchmark_config()``.  The noisy case adds what that
@@ -167,3 +167,28 @@ def test_noisy_scenario_artifacts_are_byte_identical(tmp_path, capsys, monkeypat
     got, watch_exit = _noisy_artifacts(tmp_path, capsys, monkeypatch)
     assert got == NOISY_DIGESTS
     assert watch_exit == NOISY_WATCH_EXIT
+
+
+# Configured machines, every kind of noise and an ``inject`` spec in one
+# scenario: each frame draws the excavator's drop, keypoint and box noise,
+# then each present machine's drop, and the injected worker comes after
+# the configured machines and draws nothing.  Pins that RNG order and the
+# injected truth.
+INJECT_DIGESTS = {
+    "stream.jsonl": "62f8363f1778f3b5b2b1f7e6e448dac4c4d81a82ef5020da1d6f66807f5905f4",
+    "ground_truth.json": "7831610e0aa5c9ad984c7477c012db0e6dbef7352d9a7188632f286a389bd13b",
+}
+
+
+def test_injected_noisy_scenario_is_byte_identical(tmp_path, capsys):
+    noise = NoiseModel(keypoint_sigma=0.8, drop_prob=0.1, bbox_sigma=1.5)
+    obj = scenario_to_dict(_noisy_scenario(noise))
+    obj["seed"] = 23
+    obj["inject"] = {"class": "human", "first_frame": 60, "last_frame": 180}
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(obj) + "\n")
+    sim_dir = tmp_path / "sim"
+    assert main(["simulate", "-c", str(scenario_path), "-o", str(sim_dir)]) == 0
+    capsys.readouterr()
+    got = {name: _sha256(sim_dir / name) for name in INJECT_DIGESTS}
+    assert got == INJECT_DIGESTS

@@ -122,3 +122,38 @@ def test_watch_memory_does_not_grow_with_alerts():
     long = _peak_watch_bytes(10 * n, site)
     per_frame = (long - short) / (9 * n)
     assert per_frame < 1.0, f"{per_frame:.2f} B per added frame"
+
+
+def test_alert_sink_gets_every_alert_and_none_are_kept():
+    site = SiteConfig(regions=REGIONS)
+    collected = analyze_stream(_parked_pair_lines(40), site)
+    handed: list = []
+    sunk = analyze_stream(_parked_pair_lines(40), site, on_alerts=handed.extend)
+    assert len(collected.alerts) == 40
+    assert handed == collected.alerts
+    assert sunk.alerts == []
+    assert sunk.alert_count == collected.alert_count == 40
+
+
+def _sink_peak_bytes(n_frames, site):
+    count = [0]
+
+    def sink(alerts):
+        count[0] += len(alerts)
+
+    result, peak = _traced_peak(
+        lambda: analyze_stream(_parked_pair_lines(n_frames), site, on_alerts=sink)
+    )
+    assert count[0] == result.alert_count == n_frames
+    return peak
+
+
+def test_analyze_with_alert_sink_does_not_grow_with_alerts():
+    site = SiteConfig(regions=REGIONS)
+    n = 250
+    # One untraced pass of the longer stream first, as above.
+    _sink_peak_bytes(10 * n, site)
+    short = _sink_peak_bytes(n, site)
+    long = _sink_peak_bytes(10 * n, site)
+    per_frame = (long - short) / (9 * n)
+    assert per_frame < 1.0, f"{per_frame:.2f} B per added frame"

@@ -1,8 +1,12 @@
-"""Generated streams: determinism, ground-truth fidelity, injection."""
+"""Generated streams: determinism, ground-truth fidelity, injection, memory."""
+
+import json
+import tracemalloc
 
 import pytest
 
 from sitewatch.activity import ActionState, build_timeline
+from sitewatch.cli import main
 from sitewatch.config import SiteConfig
 from sitewatch.errors import ConfigError
 from sitewatch.pipeline import analyze_stream
@@ -72,7 +76,6 @@ def test_truth_spans_every_frame():
     sim = generate(_small(seed=3))
     n = len(sim.frames)
     assert len(sim.truth.states) == n
-    assert len(sim.probe_points) == n
     assert sim.truth.phases[0][1] == 0
     assert sim.truth.phases[-1][2] == n - 1
     for (_, _, last), (_, first, _) in zip(sim.truth.phases, sim.truth.phases[1:]):
@@ -173,7 +176,10 @@ def test_inject_collision_marks_exact_frame_range():
     bumped = inject_collision(sim, first, last, "loader")
     assert bumped.truth.alert_frames == list(range(first, last + 1))
     assert sim.truth.alert_frames == []  # input untouched
-    assert len(sim.frames[first].detections) + 1 == len(bumped.frames[first].detections)
+    for frame, bumped_frame in zip(sim.frames, bumped.frames):
+        extra = 1 if first <= frame.index <= last else 0
+        assert len(frame.detections) + extra == len(bumped_frame.detections)
+        assert bumped_frame.detections[: len(frame.detections)] == frame.detections
 
 
 def test_inject_collision_elsewhere_never_alerts():
@@ -252,3 +258,83 @@ def test_ground_truth_dict_round_trip():
 def test_default_regions_are_valid_site_regions():
     SiteConfig(regions=DEFAULT_REGIONS)  # validates disjointness internally
     assert {r.label.value for r in DEFAULT_REGIONS} == {"digging", "dumping"}
+
+
+def _noisy_injected(seed=6, **kwargs):
+    """Machines, every kind of noise and an injected worker."""
+    config = _small(
+        seed=seed,
+        noise=NoiseModel(keypoint_sigma=1.0, drop_prob=0.05, bbox_sigma=1.0),
+        machines=(MachineSpec(MachineClass.TRUCK, (1332.0, 400.0, 160.0, 120.0)),),
+        **kwargs,
+    )
+    return run_scenario(config, {"class": "human", "first_frame": 20, "last_frame": 90})
+
+
+def test_frames_view_length_is_the_frame_line_count():
+    sim = _noisy_injected()
+    lines = list(sim.lines())
+    assert len(sim.frames) == len(lines) - 1
+    assert len(sim.frames) == len(sim.truth.states)
+
+
+def test_frames_view_iterates_the_same_frames_each_time():
+    sim = _noisy_injected()
+    first = list(sim.frames)
+    assert any(not frame.poses for frame in first)  # some drops drawn
+    assert first == list(sim.frames)
+    assert [f.index for f in first] == list(range(len(sim.frames)))
+    # A pass abandoned part way leaves the next one unaffected.
+    next(iter(sim.frames))
+    assert list(sim.frames) == first
+
+
+def test_truth_is_the_same_read_before_or_after_write(tmp_path):
+    early = _noisy_injected()
+    truth = early.truth
+    early.write(tmp_path / "early.jsonl", tmp_path / "early.json")
+    late = _noisy_injected()
+    late.write(tmp_path / "late.jsonl", tmp_path / "late.json")
+    assert late.truth == truth
+    assert truth.alert_frames  # the injected worker is seen
+    for suffix in (".json", ".jsonl"):
+        early_bytes = (tmp_path / f"early{suffix}").read_bytes()
+        assert early_bytes == (tmp_path / f"late{suffix}").read_bytes()
+
+
+def _simulate_peak_bytes(tmp_path, n_frames):
+    """Peak traced memory of ``sitewatch simulate`` over ``n_frames``."""
+    config = ScenarioConfig(
+        seed=4,
+        duration_s=n_frames / 25.0,
+        noise=NoiseModel(keypoint_sigma=1.0, drop_prob=0.05, bbox_sigma=1.0),
+        machines=(MachineSpec(MachineClass.TRUCK, (1332.0, 400.0, 160.0, 120.0)),),
+    )
+    obj = scenario_to_dict(config)
+    obj["inject"] = {"class": "human", "first_frame": 10, "last_frame": n_frames // 2}
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(obj) + "\n")
+    args = ["simulate", "-c", str(scenario), "-o", str(tmp_path / "sim")]
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        assert main(args) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    with open(tmp_path / "sim" / "stream.jsonl") as fh:
+        assert sum(1 for _ in fh) == n_frames + 1
+    return peak
+
+
+def test_simulate_memory_does_not_grow_with_frames(tmp_path, capsys):
+    # Enough frames that the serializer's bounded keypoint-text cache is
+    # full in both runs; what is left is the truth, a few bytes a frame.
+    n = 500
+    # One run first, so one-time allocations (imports, caches,
+    # specialized bytecode) land in neither measurement.
+    _simulate_peak_bytes(tmp_path, n)
+    short = _simulate_peak_bytes(tmp_path, n)
+    long = _simulate_peak_bytes(tmp_path, 10 * n)
+    per_frame = (long - short) / (9 * n)
+    assert per_frame < 300.0, f"{per_frame:.1f} B per added frame"
