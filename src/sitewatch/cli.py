@@ -302,7 +302,9 @@ def cmd_eval(args) -> int:
 
 def cmd_watch(args) -> int:
     site = load_site_config(args.config)
-    stdin = sys.stdin
+    # Bytes where stdin has them, so the parser decodes (and, lenient,
+    # skips) each line itself, as it does for analyze.
+    stdin = getattr(sys.stdin, "buffer", sys.stdin)
     out = sys.stdout
     parser = parse_stream(stdin, strict=not args.lenient)
     analyzer = StreamAnalyzer(site, parser.header)

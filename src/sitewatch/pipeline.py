@@ -9,8 +9,12 @@ reporting.
 
 from __future__ import annotations
 
+import io
+import marshal
+import os
+import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn
 
 from .activity import (
     ActionClassifier,
@@ -23,9 +27,11 @@ from .config import SiteConfig
 from .productivity import CycleRecord, ProductivityReport, build_report, detect_cycles
 from .safety import Alert, PauseSignal, SafetyMonitor
 from .streams import (
+    Detection,
     MachineClass,
     PerceptionFrame,
     StreamHeader,
+    StreamParser,
     dedupe_frame,
     parse_stream,
 )
@@ -154,31 +160,171 @@ class StreamAnalyzer:
 AlertSink = Callable[[list[Alert]], object]
 
 
+def _analyze(frames, site: SiteConfig, on_alerts: AlertSink | None) -> AnalysisResult:
+    """Analyze a StreamParser, or the frames received from a forked one.
+
+    Either gives ``header`` before and ``skipped`` after iteration.
+    """
+    analyzer = StreamAnalyzer(site, frames.header)
+    alerts: list[Alert] = []
+    sink = alerts.extend if on_alerts is None else on_alerts
+    for frame in frames:
+        found = analyzer.process_frame(frame)
+        if found:
+            sink(found)
+    return analyzer.finish(alerts, skipped=frames.skipped)
+
+
 def analyze_stream(
     lines: Iterable[str | bytes],
     site: SiteConfig,
     strict: bool = True,
     on_alerts: AlertSink | None = None,
 ) -> AnalysisResult:
-    """Analyze a whole stream.
+    """Analyze a whole stream in the calling process.
 
     Each frame's alerts are collected into ``result.alerts``, or, given
     ``on_alerts``, handed to it as they are found and not kept;
     ``result.alert_count`` counts them either way.
     """
-    parser = parse_stream(lines, strict=strict)
-    analyzer = StreamAnalyzer(site, parser.header)
-    alerts: list[Alert] = []
-    sink = alerts.extend if on_alerts is None else on_alerts
-    for frame in parser:
-        found = analyzer.process_frame(frame)
-        if found:
-            sink(found)
-    return analyzer.finish(alerts, skipped=parser.skipped)
+    return _analyze(parse_stream(lines, strict=strict), site, on_alerts)
 
 
 def analyze_file(
     path, site: SiteConfig, strict: bool = True, on_alerts: AlertSink | None = None
 ) -> AnalysisResult:
-    with open(path, "r", encoding="utf-8") as fh:
-        return analyze_stream(fh, site, strict=strict, on_alerts=on_alerts)
+    """Analyze a stream file; the result and errors are analyze_stream's.
+
+    Where fork is available, more than one CPU is usable and this
+    process runs no other thread, a forked child parses the frames while
+    this process analyzes them.
+    """
+    with open(path, "rb") as fh:
+        # The header is parsed here, so its errors need no forwarding.
+        parser = parse_stream(fh, strict=strict)
+        if not _parse_in_child():
+            return _analyze(parser, site, on_alerts)
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except BaseException:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if pid == 0:
+            _parser_child(parser, read_fd, write_fd)
+        os.close(write_fd)
+        try:
+            with open(read_fd, "rb") as pipe:
+                return _analyze(_ReceivedFrames(parser.header, pipe), site, on_alerts)
+        finally:
+            # The read end is closed by now, so a child blocked on a full
+            # pipe fails its write and exits.
+            os.waitpid(pid, 0)
+
+
+def _parse_in_child() -> bool:
+    # A forked child has only the forking thread, and a lock another
+    # thread held at the fork stays held in the child.
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return False
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return cpus > 1
+
+
+# Every message on the pipe is a 4-byte little-endian length, then that
+# many bytes of marshal data: one (index, ((class value, bbox, score),
+# ...), poses) tuple per frame, then one (skipped, pickled exception or
+# None) end message.
+_LENGTH_BYTES = 4
+
+
+def _parser_child(parser: StreamParser, read_fd: int, write_fd: int) -> NoReturn:
+    """Send ``parser``'s frames down the pipe; never returns.
+
+    Leaves through os._exit, so no atexit hook runs and no inherited
+    buffer (stdio, an open output file) is flushed a second time.
+    """
+    status = 1
+    try:
+        os.close(read_fd)
+        out = io.BufferedWriter(io.FileIO(write_fd, "wb"))
+        write, dumps = out.write, marshal.dumps
+        try:
+            for frame in parser:
+                msg = dumps(
+                    (
+                        frame.index,
+                        tuple([(d.cls.value, d.bbox, d.score) for d in frame.detections]),
+                        frame.poses,
+                    )
+                )
+                write(len(msg).to_bytes(_LENGTH_BYTES, "little"))
+                write(msg)
+            end = (parser.skipped, None)
+        except Exception as exc:
+            end = (None, _pickled(exc))
+        msg = dumps(end)
+        write(len(msg).to_bytes(_LENGTH_BYTES, "little"))
+        write(msg)
+        out.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _pickled(exc: Exception) -> bytes:
+    # pickle is imported only on this error path (and where the parent
+    # unpickles): importing it costs every analyze about 0.2 MB of RSS.
+    import pickle
+
+    try:
+        return pickle.dumps(exc)
+    except Exception:
+        return pickle.dumps(RuntimeError(f"stream parser failed: {exc!r}"))
+
+
+class _ReceivedFrames:
+    """The frames a forked parser sends, rebuilt; ``skipped`` once done.
+
+    Raises the parser's exception after the frames that preceded it, and
+    ChildProcessError if the child ends without its end message.
+    """
+
+    def __init__(self, header: StreamHeader, pipe: BinaryIO):
+        self.header = header
+        self.skipped = 0
+        self._pipe = pipe
+
+    def _message(self):
+        read = self._pipe.read
+        head = read(_LENGTH_BYTES)
+        size = int.from_bytes(head, "little")
+        body = read(size)
+        if len(head) != _LENGTH_BYTES or len(body) != size:
+            raise ChildProcessError("stream parser process ended before its stream did")
+        return marshal.loads(body)
+
+    def __iter__(self) -> Iterator[PerceptionFrame]:
+        message = self._message
+        new = tuple.__new__
+        classes = {c.value: c for c in MachineClass}
+        while True:
+            msg = message()
+            if len(msg) != 3:
+                break
+            index, detections, poses = msg
+            yield PerceptionFrame(
+                index,
+                tuple([new(Detection, (classes[c], bbox, s)) for c, bbox, s in detections]),
+                poses,
+            )
+        skipped, error = msg
+        if error is not None:
+            import pickle
+
+            raise pickle.loads(error)
+        self.skipped = skipped

@@ -310,10 +310,11 @@ class StreamParser:
 
     def __iter__(self) -> Iterator[PerceptionFrame]:
         while True:
-            line = self._next_line()
-            if line is None:
-                return
             try:
+                # Inside the try: an undecodable line is a bad frame line.
+                line = self._next_line()
+                if line is None:
+                    return
                 frame = _parse_frame(
                     self._loads(line), self.header, self._prev_index, self._line_no
                 )
@@ -335,7 +336,7 @@ def read_stream(
     path, strict: bool = True
 ) -> tuple[StreamHeader, list[PerceptionFrame], int]:
     """Parse a whole stream file; returns (header, frames, skipped lines)."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         parser = parse_stream(fh, strict=strict)
         frames = list(parser)
     return parser.header, frames, parser.skipped
@@ -461,6 +462,13 @@ def soft_nms_indexed(
         by_class.setdefault(det.cls, []).append([idx, det, det.score])
     kept: list[tuple[int, Detection]] = []
     for pool in by_class.values():
+        if len(pool) == 1:
+            # A lone box is never scored against another, so its score
+            # never decays.
+            idx, det, score = pool[0]
+            if score >= score_floor:
+                kept.append((idx, det))
+            continue
         pool = [row for row in pool if row[2] >= score_floor]
         while pool:
             # The pool stays in index order, so max() breaks score ties
@@ -479,7 +487,8 @@ def soft_nms_indexed(
                 if row[2] >= score_floor:
                     survivors.append(row)
             pool = survivors
-    kept.sort(key=lambda item: (-item[1].score, item[0]))
+    if len(kept) > 1:
+        kept.sort(key=lambda item: (-item[1].score, item[0]))
     return kept
 
 
@@ -491,9 +500,16 @@ def dedupe_frame(
 ) -> PerceptionFrame:
     """Apply soft-NMS to a frame, remapping pose references to survivors.
 
-    Poses whose detection was suppressed are dropped with it.
+    Poses whose detection was suppressed are dropped with it.  A frame
+    whose every detection survives unchanged and in input order is
+    returned as it is.
     """
-    kept = soft_nms_indexed(frame.detections, iou_threshold, decay, score_floor)
+    detections = frame.detections
+    kept = soft_nms_indexed(detections, iou_threshold, decay, score_floor)
+    if len(kept) == len(detections) and all(
+        orig == i and det is detections[i] for i, (orig, det) in enumerate(kept)
+    ):
+        return frame
     remap = {orig: new for new, (orig, _) in enumerate(kept)}
     poses = tuple(
         [(remap[det_idx], pose) for det_idx, pose in frame.poses if det_idx in remap]

@@ -5,9 +5,14 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sitewatch
 from sitewatch.cli import main
 from sitewatch.config import SiteConfig, site_config_to_dict
 from sitewatch.simulator import (
@@ -500,6 +505,91 @@ def test_analyze_failing_mid_stream_leaves_no_alerts_csv(tmp_path, capsys):
     assert "line 8" in capsys.readouterr().err
     assert not (out / "alerts.csv").exists()
     assert not (out / "alerts.csv.part").exists()
+
+
+def _undecodable_stream():
+    """Frames 0-2 alert; line 3 (frame 1) ends in a byte that is not UTF-8."""
+    lines = _watch_stream({0, 1, 2}, 3).encode().splitlines(keepends=True)
+    lines[2] = lines[2].rstrip() + b"\xff\n"
+    return b"".join(lines)
+
+
+@pytest.mark.parametrize("lenient", [False, True], ids=["strict", "lenient"])
+def test_analyze_reports_an_undecodable_line_instead_of_crashing(tmp_path, capsys, lenient):
+    site = _site_file(tmp_path, regions=REGIONS)
+    stream = tmp_path / "bad.jsonl"
+    stream.write_bytes(_undecodable_stream())
+    out = tmp_path / "out"
+    argv = ["analyze", "-c", str(site), "-i", str(stream), "-o", str(out)]
+    code = main(argv + ["--lenient"] if lenient else argv)
+    err = capsys.readouterr().err
+    if not lenient:
+        assert code == 3
+        assert "line 3: invalid UTF-8" in err
+        return
+    assert code == 0 and err == ""
+    meta = json.loads((out / "meta.json").read_text())
+    assert (meta["frames"], meta["skipped"]) == (2, 1)
+    with open(out / "alerts.csv", newline="") as fh:
+        assert [row[0] for row in list(csv.reader(fh))[1:]] == ["0", "2"]
+
+
+@pytest.mark.parametrize("lenient", [False, True], ids=["strict", "lenient"])
+def test_watch_reports_an_undecodable_line_instead_of_crashing(
+    tmp_path, capsys, monkeypatch, lenient
+):
+    site = _site_file(tmp_path, regions=REGIONS)
+    stdin = io.TextIOWrapper(io.BytesIO(_undecodable_stream()), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
+    argv = ["watch", "-c", str(site)]
+    code = main(argv + ["--lenient"] if lenient else argv)
+    captured = capsys.readouterr()
+    records = [json.loads(line) for line in captured.out.splitlines()]
+    alert_frames = [r["frame"] for r in records if r["type"] == "alert"]
+    if not lenient:
+        assert code == 3
+        assert "line 3: invalid UTF-8" in captured.err
+        assert alert_frames == [0]
+        return
+    assert captured.err == ""
+    assert alert_frames == [0, 2]
+
+
+def test_eval_reports_an_undecodable_line_instead_of_crashing(tmp_path, capsys):
+    pred = tmp_path / "pred.jsonl"
+    pred.write_bytes(_undecodable_stream())
+    code = main(["eval", "--task", "det", "--pred", str(pred), "--truth", str(pred)])
+    assert code == 3
+    assert "line 3: invalid UTF-8" in capsys.readouterr().err
+
+
+def test_analyze_prints_each_summary_once_with_buffered_stdout(tmp_path):
+    # Run as a separate process, so stdout is a block-buffered pipe: the
+    # first summary is still in that buffer when the second input's
+    # parser is forked, and the child must not write it out again.
+    site = _site_file(tmp_path, regions=REGIONS)
+    inputs = []
+    for name in ("a", "b"):
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text(_watch_stream({0, 1}, 5))
+        inputs += ["-i", str(path)]
+    src = Path(sitewatch.__file__).resolve().parents[1]
+    # The forked path is forced, as where more than one CPU is usable.
+    script = (
+        "import sys, sitewatch.pipeline as p, sitewatch.cli as cli;"
+        "p._parse_in_child = lambda: True;"
+        "sys.exit(cli.main(sys.argv[1:]))"
+    )
+    argv = ["analyze", "-c", str(site), *inputs, "-o", str(tmp_path / "out")]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONUNBUFFERED", None)
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    analyzed = [line for line in done.stdout.splitlines() if line.startswith("analyzed:")]
+    assert analyzed == [f"analyzed: {tmp_path / 'a.jsonl'}", f"analyzed: {tmp_path / 'b.jsonl'}"]
+    assert done.stdout.count("alerts: 2") == 2
 
 
 def test_analyze_writes_alerts_csv_and_counts_them(tmp_path, capsys):

@@ -149,6 +149,29 @@ def test_blank_lines_and_bytes_input_are_handled():
     assert len(list(parser)) == 1
 
 
+_UNDECODABLE = [_H.encode(), frame_line(0).encode(), b'{"index":1}\xff\n', frame_line(2).encode()]
+
+
+def test_an_undecodable_frame_line_fails_strictly_with_its_line_number():
+    with pytest.raises(StreamFormatError) as err:
+        list(parse_stream(_UNDECODABLE))
+    assert err.value.line_no == 3
+    assert "invalid UTF-8" in str(err.value)
+
+
+def test_lenient_mode_skips_and_counts_an_undecodable_frame_line():
+    parser = parse_stream(_UNDECODABLE, strict=False)
+    assert [f.index for f in parser] == [0, 2]
+    assert parser.skipped == 1
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_an_undecodable_header_fails_in_both_modes(strict):
+    with pytest.raises(StreamFormatError) as err:
+        parse_stream([b'{"source":"\xff"}', frame_line(0).encode()], strict=strict)
+    assert err.value.line_no == 1
+
+
 def test_pose_must_reference_an_excavator_detection():
     det = '[{"class":"loader","bbox":[10.0,20.0,200.0,100.0],"score":0.9}]'
     pose = make_pose()
@@ -366,3 +389,23 @@ def test_dedupe_frame_remaps_pose_references():
     det_idx, pose = out.poses[0]
     assert det_idx == 0
     assert pose == pose_b
+
+
+def test_dedupe_frame_returns_an_unchanged_frame_as_it_is():
+    pose = make_pose()
+    # One box per class, highest score first: nothing decays or moves.
+    frame = PerceptionFrame(
+        5,
+        (
+            make_detection("excavator", score=0.9),
+            make_detection("loader", (500.0, 500.0, 40.0, 40.0), 0.8),
+        ),
+        ((0, pose),),
+    )
+    assert dedupe_frame(frame) is frame
+    # The same boxes lowest score first come back reordered, pose remapped.
+    out = dedupe_frame(PerceptionFrame(5, frame.detections[::-1], ((1, pose),)))
+    assert out == frame
+    # A lone box below the score floor is dropped with its pose.
+    low = PerceptionFrame(6, (make_detection("excavator", score=0.0005),), ((0, pose),))
+    assert dedupe_frame(low) == PerceptionFrame(6, (), ())
