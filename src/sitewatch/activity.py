@@ -158,8 +158,8 @@ class ActivityConfig:
             raise ValueError("stillness_mode must be 'px' or 'bbox_frac'")
         if self.stillness_threshold <= 0:
             raise ValueError("stillness_threshold must be positive")
-        if self.motion_window < 2:
-            raise ValueError("motion_window must be at least 2")
+        if not isinstance(self.motion_window, int) or self.motion_window < 2:
+            raise ValueError("motion_window must be an integer of at least 2")
         if self.idle_grace_s < 0:
             raise ValueError("idle_grace_s must be non-negative")
         if self.min_segment_s < 0:
@@ -194,11 +194,6 @@ class ActionClassifier:
         self._arm = MotionWindow(self.config.motion_window)
         self._still_frames = 0
         self._last_frame: int | None = None
-
-    @property
-    def states(self) -> list[tuple[int, ActionState]]:
-        """The (frame index, state) pair of every observed frame."""
-        return expand_runs(self.runs)
 
     def _threshold(self, bbox: BBox | None) -> float:
         if self.config.stillness_mode == "px":
@@ -260,15 +255,6 @@ class ActionClassifier:
         return state
 
 
-def expand_runs(runs: Iterable[Sequence]) -> list[tuple[int, ActionState]]:
-    """Expand ``(state, first_frame, last_frame)`` runs into per-frame pairs."""
-    return [
-        (frame, state)
-        for state, first, last in runs
-        for frame in range(first, last + 1)
-    ]
-
-
 @dataclass(frozen=True)
 class TimelineSegment:
     state: ActionState
@@ -317,16 +303,12 @@ class ActionTimeline:
 
 
 def build_timeline(
-    states: Iterable[Sequence] | Iterable[ActionState],
-    fps: float,
-    min_duration: float = 0.5,
+    runs: Iterable[Sequence], fps: float, min_duration: float = 0.5
 ) -> ActionTimeline:
-    """Debounce a state history into a timeline of segments.
+    """Debounce ``(state, first_frame, last_frame)`` runs into segments.
 
-    Accepts ``(state, first_frame, last_frame)`` runs, as kept by
-    ``ActionClassifier.runs``, or (frame index, state) pairs, or bare
-    states indexed from 0; pairs and states are run-length encoded as
-    they are read.  Runs shorter than min_duration are absorbed into the
+    The runs are read as ``ActionClassifier.runs`` keeps them and are
+    not modified.  Runs shorter than min_duration are absorbed into the
     preceding segment; a short leading run (which has no preceding
     segment, e.g. the warm-up) is absorbed into the following one
     instead.  Equal neighbors merge.  Gaps between observed frames
@@ -337,36 +319,28 @@ def build_timeline(
         raise ValueError("fps must be positive")
     if min_duration < 0:
         raise ValueError("min_duration must be non-negative")
-    runs: list[list] = []
-    for i, item in enumerate(states):
-        if isinstance(item, ActionState):
-            state, first, last = item, i, i
-        elif len(item) == 3:
-            state, first, last = ActionState(item[0]), int(item[1]), int(item[2])
-            if last < first:
-                raise ValueError("a run must not end before it starts")
-        else:
-            frame, state = item
-            state, first = ActionState(state), int(frame)
-            last = first
-        if runs:
-            previous = runs[-1]
+    spans: list[list] = []
+    for state, first, last in runs:
+        if last < first:
+            raise ValueError("a run must not end before it starts")
+        if spans:
+            previous = spans[-1]
             if first <= previous[2]:
                 raise ValueError("frame indices must be strictly increasing")
             if previous[0] is state:
                 previous[2] = last
                 continue
-        runs.append([state, first, last])
-    if not runs:
+        spans.append([state, first, last])
+    if not spans:
         return ActionTimeline(fps, [])
 
     # Stitch each run's end out to the next run's start so gaps stay
     # covered by the state that was held.
-    for current, following in zip(runs, runs[1:]):
+    for current, following in zip(spans, spans[1:]):
         current[2] = following[1] - 1
 
-    merged: list[list] = [runs[0]]
-    for state, start, end in runs[1:]:
+    merged: list[list] = [spans[0]]
+    for state, start, end in spans[1:]:
         span_s = (end - start + 1) / fps
         if span_s < min_duration or merged[-1][0] is state:
             merged[-1][2] = end

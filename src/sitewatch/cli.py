@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from .activity import ActionTimeline, read_timeline_csv, write_timeline_csv
-from .config import load_site_config
+from .config import SiteConfig, load_site_config
 from .errors import EXIT_IO, EXIT_OK, ConfigError, SitewatchError, StreamFormatError
 from .metrics import (
     DEFAULT_OKS_THRESHOLDS,
@@ -136,8 +136,12 @@ def cmd_analyze(args) -> int:
     site = load_site_config(args.config)
     inputs = [Path(p) for p in args.input]
     out = Path(args.out)
-    for stream_path in inputs:
-        target = out if len(inputs) == 1 else out / stream_path.stem
+    targets = [out] if len(inputs) == 1 else [out / p.stem for p in inputs]
+    for i, target in enumerate(targets):
+        if target in targets[:i]:
+            first = inputs[targets.index(target)]
+            raise ConfigError(f"inputs {first} and {inputs[i]} would both write to {target}")
+    for stream_path, target in zip(inputs, targets):
         _analyze_one(stream_path, site, target, not args.lenient)
     return EXIT_OK
 
@@ -163,6 +167,8 @@ def cmd_report(args) -> int:
         volume = args.volume
     if args.full_rate is not None:
         full_rate = args.full_rate
+    if not (volume >= 0 and full_rate >= 0):
+        raise ConfigError("--volume and --full-rate must be non-negative numbers")
     report = build_report(timeline, volume, full_rate, args.rate_denominator)
     out = Path(args.out) if args.out else src
     out.mkdir(parents=True, exist_ok=True)
@@ -174,16 +180,27 @@ def cmd_report(args) -> int:
 
 
 def _report_params_from_csv(path) -> tuple[float, float]:
-    volume, full_rate = 0.4, 1.0
-    if not os.path.exists(path):
-        return volume, full_rate
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            if row.get("field") == "bucket_volume_m3":
-                volume = float(row["value"])
-            elif row.get("field") == "bucket_full_rate":
-                full_rate = float(row["value"])
-    return volume, full_rate
+    params = {
+        "bucket_volume_m3": SiteConfig.bucket_volume_m3,
+        "bucket_full_rate": SiteConfig.bucket_full_rate,
+    }
+    if os.path.exists(path):
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            for line_no, row in enumerate(csv.DictReader(fh), start=2):
+                name = row.get("field")
+                if name in params:
+                    try:
+                        value = float(row["value"])
+                    except (TypeError, ValueError):
+                        value = None
+                    if value is None or not value >= 0:
+                        raise StreamFormatError(
+                            f"{path}: {name} must be a non-negative number, "
+                            f"got {row['value']!r}",
+                            line_no,
+                        )
+                    params[name] = value
+    return params["bucket_volume_m3"], params["bucket_full_rate"]
 
 
 def _eval_det(args) -> list[tuple[str, str]]:

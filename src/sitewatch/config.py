@@ -8,7 +8,7 @@ fail loudly instead of silently running with defaults.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .activity import ActivityConfig
 from .errors import ConfigError
@@ -36,10 +36,26 @@ class SiteConfig:
             raise ValueError(
                 f"rate_denominator must be one of {RATE_DENOMINATORS}"
             )
-        if self.bucket_volume_m3 < 0 or self.bucket_full_rate < 0:
-            raise ValueError("bucket parameters must be non-negative")
-        if self.track_miss_cap < 1 or self.clearance_window < 1:
-            raise ValueError("frame caps must be at least 1")
+        # The ranges soft_nms_indexed and IouTracker enforce, checked
+        # here so a bad value fails when the config is read.
+        for name in ("nms_iou", "nms_score_floor", "track_iou"):
+            value = getattr(self, name)
+            if not _is_number(value) or not 0 <= value <= 1:
+                raise ValueError(f"{name} must be a number in [0, 1]")
+        if not _is_number(self.nms_decay) or not self.nms_decay > 0:
+            raise ValueError("nms_decay must be a positive number")
+        for name in ("bucket_volume_m3", "bucket_full_rate"):
+            value = getattr(self, name)
+            if not _is_number(value) or not value >= 0:
+                raise ValueError(f"{name} must be a non-negative number")
+        for name in ("track_miss_cap", "clearance_window"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"{name} must be an integer of at least 1")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def expect_keys(obj: dict, allowed: set[str], required: set[str], what: str) -> None:
@@ -76,18 +92,9 @@ def region_to_dict(region: Region) -> dict:
     }
 
 
-_ACTIVITY_KEYS = {
-    "stillness_threshold",
-    "stillness_mode",
-    "motion_window",
-    "idle_grace_s",
-    "min_segment_s",
-    "probe_conf_floor",
-}
-
-
 def activity_from_dict(obj: dict) -> ActivityConfig:
-    expect_keys(obj, _ACTIVITY_KEYS, set(), "activity config")
+    keys = {f.name for f in fields(ActivityConfig)}
+    expect_keys(obj, keys, set(), "activity config")
     try:
         return ActivityConfig(**obj)
     except (ValueError, TypeError) as exc:
@@ -95,25 +102,27 @@ def activity_from_dict(obj: dict) -> ActivityConfig:
 
 
 def activity_to_dict(cfg: ActivityConfig) -> dict:
-    return {
-        "stillness_threshold": cfg.stillness_threshold,
-        "stillness_mode": cfg.stillness_mode,
-        "motion_window": cfg.motion_window,
-        "idle_grace_s": cfg.idle_grace_s,
-        "min_segment_s": cfg.min_segment_s,
-        "probe_conf_floor": cfg.probe_conf_floor,
-    }
+    return asdict(cfg)
 
 
-_SITE_KEYS = {
-    "regions",
-    "activity",
-    "nms",
-    "tracking",
-    "safety",
-    "bucket",
-    "rate_denominator",
+# (JSON section, key) -> SiteConfig field, in the order the file is
+# written; each default is SiteConfig's own.
+_SECTION_FIELDS = {
+    ("nms", "iou_threshold"): "nms_iou",
+    ("nms", "decay"): "nms_decay",
+    ("nms", "score_floor"): "nms_score_floor",
+    ("tracking", "iou_threshold"): "track_iou",
+    ("tracking", "miss_cap"): "track_miss_cap",
+    ("safety", "clearance_window"): "clearance_window",
+    ("bucket", "volume_m3"): "bucket_volume_m3",
+    ("bucket", "full_rate"): "bucket_full_rate",
 }
+_SECTION_KEYS = {
+    section: {k for s, k in _SECTION_FIELDS if s == section}
+    for section, _ in _SECTION_FIELDS
+}
+
+_SITE_KEYS = {"regions", "activity", "rate_denominator", *_SECTION_KEYS}
 
 
 def site_config_from_dict(obj: dict) -> SiteConfig:
@@ -124,26 +133,12 @@ def site_config_from_dict(obj: dict) -> SiteConfig:
     kwargs: dict = {"regions": regions}
     if "activity" in obj:
         kwargs["activity"] = activity_from_dict(obj["activity"])
-    if "nms" in obj:
-        nms = obj["nms"]
-        expect_keys(nms, {"iou_threshold", "decay", "score_floor"}, set(), "nms config")
-        kwargs["nms_iou"] = nms.get("iou_threshold", 0.3)
-        kwargs["nms_decay"] = nms.get("decay", 0.5)
-        kwargs["nms_score_floor"] = nms.get("score_floor", 0.001)
-    if "tracking" in obj:
-        tracking = obj["tracking"]
-        expect_keys(tracking, {"iou_threshold", "miss_cap"}, set(), "tracking config")
-        kwargs["track_iou"] = tracking.get("iou_threshold", 0.3)
-        kwargs["track_miss_cap"] = tracking.get("miss_cap", 25)
-    if "safety" in obj:
-        safety = obj["safety"]
-        expect_keys(safety, {"clearance_window"}, set(), "safety config")
-        kwargs["clearance_window"] = safety.get("clearance_window", 25)
-    if "bucket" in obj:
-        bucket = obj["bucket"]
-        expect_keys(bucket, {"volume_m3", "full_rate"}, set(), "bucket config")
-        kwargs["bucket_volume_m3"] = bucket.get("volume_m3", 0.4)
-        kwargs["bucket_full_rate"] = bucket.get("full_rate", 1.0)
+    for section, keys in _SECTION_KEYS.items():
+        if section in obj:
+            expect_keys(obj[section], keys, set(), f"{section} config")
+    for (section, key), name in _SECTION_FIELDS.items():
+        if key in obj.get(section, ()):
+            kwargs[name] = obj[section][key]
     if "rate_denominator" in obj:
         kwargs["rate_denominator"] = obj["rate_denominator"]
     try:
@@ -153,19 +148,14 @@ def site_config_from_dict(obj: dict) -> SiteConfig:
 
 
 def site_config_to_dict(cfg: SiteConfig) -> dict:
-    return {
+    out = {
         "regions": [region_to_dict(r) for r in cfg.regions],
         "activity": activity_to_dict(cfg.activity),
-        "nms": {
-            "iou_threshold": cfg.nms_iou,
-            "decay": cfg.nms_decay,
-            "score_floor": cfg.nms_score_floor,
-        },
-        "tracking": {"iou_threshold": cfg.track_iou, "miss_cap": cfg.track_miss_cap},
-        "safety": {"clearance_window": cfg.clearance_window},
-        "bucket": {"volume_m3": cfg.bucket_volume_m3, "full_rate": cfg.bucket_full_rate},
-        "rate_denominator": cfg.rate_denominator,
     }
+    for (section, key), name in _SECTION_FIELDS.items():
+        out.setdefault(section, {})[key] = getattr(cfg, name)
+    out["rate_denominator"] = cfg.rate_denominator
+    return out
 
 
 def load_json_config(path, what: str) -> dict:

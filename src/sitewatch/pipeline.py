@@ -16,13 +16,7 @@ import threading
 from dataclasses import dataclass
 from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn
 
-from .activity import (
-    ActionClassifier,
-    ActionState,
-    ActionTimeline,
-    build_timeline,
-    expand_runs,
-)
+from .activity import ActionClassifier, ActionState, ActionTimeline, build_timeline
 from .config import SiteConfig
 from .productivity import CycleRecord, ProductivityReport, build_report, detect_cycles
 from .safety import Alert, PauseSignal, SafetyMonitor
@@ -49,15 +43,9 @@ class AnalysisResult:
     primary_track: int | None
     cycles: list[CycleRecord]
     report: ProductivityReport
-    alerts: list[Alert]  # empty when an ``on_alerts`` sink took them
     alert_count: int
     pause: PauseSignal
     pause_events: list[tuple[str, int]]
-
-    @property
-    def states(self) -> dict[int, list[tuple[int, ActionState]]]:
-        """Each track's (frame index, state) pairs, expanded from its runs."""
-        return {tid: expand_runs(runs) for tid, runs in self.runs.items()}
 
 
 class StreamAnalyzer:
@@ -108,12 +96,8 @@ class StreamAnalyzer:
         self.alert_count += len(alerts)
         return alerts
 
-    def finish(self, alerts: list[Alert], skipped: int = 0) -> AnalysisResult:
-        """Close the analysis.
-
-        ``alerts`` are the process_frame results the caller kept, if it
-        kept them; ``alert_count`` counts every alert either way.
-        """
+    def finish(self, skipped: int = 0) -> AnalysisResult:
+        """Close the analysis; ``alert_count`` counts every alert."""
         timelines = {
             track_id: build_timeline(
                 classifier.runs, self.header.fps, self.site.activity.min_segment_s
@@ -150,7 +134,6 @@ class StreamAnalyzer:
             primary_track=primary,
             cycles=detect_cycles(primary_timeline),
             report=report,
-            alerts=alerts,
             alert_count=self.alert_count,
             pause=self.monitor.pause,
             pause_events=list(self.monitor.pause_events),
@@ -166,13 +149,11 @@ def _analyze(frames, site: SiteConfig, on_alerts: AlertSink | None) -> AnalysisR
     Either gives ``header`` before and ``skipped`` after iteration.
     """
     analyzer = StreamAnalyzer(site, frames.header)
-    alerts: list[Alert] = []
-    sink = alerts.extend if on_alerts is None else on_alerts
     for frame in frames:
         found = analyzer.process_frame(frame)
-        if found:
-            sink(found)
-    return analyzer.finish(alerts, skipped=frames.skipped)
+        if found and on_alerts is not None:
+            on_alerts(found)
+    return analyzer.finish(skipped=frames.skipped)
 
 
 def analyze_stream(
@@ -183,9 +164,8 @@ def analyze_stream(
 ) -> AnalysisResult:
     """Analyze a whole stream in the calling process.
 
-    Each frame's alerts are collected into ``result.alerts``, or, given
-    ``on_alerts``, handed to it as they are found and not kept;
-    ``result.alert_count`` counts them either way.
+    Each frame's alerts are handed to ``on_alerts`` as they are found;
+    none is kept, and ``result.alert_count`` counts them.
     """
     return _analyze(parse_stream(lines, strict=strict), site, on_alerts)
 

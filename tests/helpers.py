@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+from pathlib import Path
 
 from sitewatch.activity import ActivityConfig
 from sitewatch.geometry import Region, RegionLabel
@@ -53,6 +54,14 @@ _BODY_LAYOUT = {
 }
 
 
+def readme_section(title: str) -> str:
+    """The text of README.md's ``## title`` section."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    start = text.index(f"\n## {title}\n")
+    end = text.find("\n## ", start + 1)
+    return text[start:] if end < 0 else text[start:end]
+
+
 def pose_from(triples: dict) -> Pose:
     """The pose holding each name's (x, y, conf) triple at its position."""
     return tuple(triples[name] for name in KEYPOINT_NAMES)
@@ -91,6 +100,27 @@ def make_pose(
 
 def shift_pose(pose: Pose, dx: float, dy: float) -> Pose:
     return tuple((x + dx, y + dy, conf) for x, y, conf in pose)
+
+
+def runs_of(states):
+    """The ``(state, first_frame, last_frame)`` runs of per-frame states
+    indexed from frame 0."""
+    runs = []
+    for frame, state in enumerate(states):
+        if runs and runs[-1][0] is state:
+            runs[-1][2] = frame
+        else:
+            runs.append([state, frame, frame])
+    return [tuple(run) for run in runs]
+
+
+def frame_states(runs):
+    """The (frame index, state) pair of every frame the runs cover."""
+    return [
+        (frame, state)
+        for state, first, last in runs
+        for frame in range(first, last + 1)
+    ]
 
 
 def make_detection(cls="excavator", bbox=(10.0, 20.0, 200.0, 120.0), score=0.9) -> Detection:

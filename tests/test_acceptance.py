@@ -44,6 +44,7 @@ from sitewatch.streams import (
 from helpers import (
     AP_FIXTURES,
     MALFORMED_STREAMS,
+    frame_states,
     make_pose,
     naive_soft_nms,
     oracle_detection_ap,
@@ -120,9 +121,10 @@ def test_criterion_2_zero_noise_cycle_exactness():
             config = random_scenario(seed, with_machine=(seed % 10 == 0))
             sim = generate(config)
             site = SiteConfig(regions=config.regions, activity=config.activity)
-            result = analyze_stream(sim.lines(), site)
+            alerts = []
+            result = analyze_stream(sim.lines(), site, on_alerts=alerts.extend)
             assert len(result.cycles) == len(sim.truth.cycles), f"seed {seed}"
-            pairs = result.states[result.primary_track]
+            pairs = frame_states(result.runs[result.primary_track])
             assert [f for f, _ in pairs] == list(range(len(sim.frames)))
             got = [s for _, s in pairs]
             warm_up_end = next(
@@ -131,7 +133,7 @@ def test_criterion_2_zero_noise_cycle_exactness():
             assert got[warm_up_end:] == sim.truth.states[warm_up_end:], f"seed {seed}"
             assert got == sim.truth.states, f"seed {seed}"  # holds even in warm-up
             if config.machines:
-                assert [a.frame for a in result.alerts] == sim.truth.alert_frames
+                assert [a.frame for a in alerts] == sim.truth.alert_frames
 
 
 def test_criterion_3_noise_robustness():

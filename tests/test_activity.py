@@ -14,7 +14,6 @@ from sitewatch.activity import (
     MotionWindow,
     TimelineSegment,
     build_timeline,
-    expand_runs,
     is_still,
     read_timeline_csv,
     step_state,
@@ -22,7 +21,15 @@ from sitewatch.activity import (
 )
 from sitewatch.geometry import LocationLabel
 
-from helpers import DIG_CENTER, DUMP_CENTER, FAR_AWAY, REGIONS, make_pose
+from helpers import (
+    DIG_CENTER,
+    DUMP_CENTER,
+    FAR_AWAY,
+    REGIONS,
+    frame_states,
+    make_pose,
+    runs_of,
+)
 
 D = ActionState.DIGGING
 SA = ActionState.SWING_AFTER_DIGGING
@@ -185,7 +192,7 @@ def _run_classifier(steps, fps=25.0, config=None):
 def test_classifier_warm_up_is_unknown_then_digs():
     steps = [(DIG_CENTER, (900.0, 500.0))] * 10
     classifier = _run_classifier(steps)
-    states = [s for _, s in classifier.states]
+    states = [s for _, s in frame_states(classifier.runs)]
     assert states[0] is U  # one sample gives no displacement yet
     assert states[1:] == [D] * 9
 
@@ -195,7 +202,7 @@ def test_classifier_missing_pose_holds_state_and_resets_history():
         (DIG_CENTER, (900.0, 500.0))
     ] * 3
     classifier = _run_classifier(steps)
-    states = [s for _, s in classifier.states]
+    states = [s for _, s in frame_states(classifier.runs)]
     assert states[8] is D  # held through the dropout
     assert states[9:] == [D] * 3  # window refills while holding
 
@@ -239,7 +246,7 @@ def test_classifier_full_cycle_sequence():
         steps.append((arm, body))
     steps += [(DIG_CENTER, body_dig)] * 30
     classifier = _run_classifier(steps, fps=fps)
-    timeline = build_timeline(classifier.states, fps, min_duration=0.4)
+    timeline = build_timeline(classifier.runs, fps, min_duration=0.4)
     got = [seg.state for seg in timeline.segments]
     assert got == [D, SA, P, SF, D]
 
@@ -249,7 +256,7 @@ def test_swing_direction_never_contradicts_its_neighbors():
         [(DIG_CENTER, (900.0, 500.0))] * 10
         + [((300.0 + 12.0 * k, 200.0), (900.0 + 12.0 * k, 500.0)) for k in range(10)]
     )
-    states = [s for _, s in classifier.states]
+    states = [s for _, s in frame_states(classifier.runs)]
     for prev, state in zip(states, states[1:]):
         if state is SF:
             assert prev in (P, SF, U)
@@ -275,7 +282,7 @@ def test_classifier_states_are_the_stepped_states():
                 pose = make_pose(arm=(arm[0], arm[1] + dump_wiggle), body=tuple(body))
             stepped.append((frame, classifier.step(frame, pose)))
             frame += 1 if rng.random() < 0.9 else rng.randint(2, 4)
-        assert classifier.states == stepped, f"seed {seed}"
+        assert frame_states(classifier.runs) == stepped, f"seed {seed}"
         assert classifier.observed_frames == len(stepped)
         assert len({s for _, s in stepped}) >= 3, f"seed {seed}"
         # Runs are maximal: neighbors differ in state or leave a gap.
@@ -335,15 +342,14 @@ def test_runs_timeline_equals_the_per_frame_batch(steps, first, fps, min_duratio
             runs[-1][2] = frame
         else:
             runs.append([state, frame, frame])
-    assert expand_runs(runs) == pairs
+    assert frame_states(runs) == pairs
     kept = [list(run) for run in runs]
 
     want = _batch_timeline_segments(pairs, fps, min_duration)
     assert build_timeline(runs, fps, min_duration).segments == want
     assert runs == kept  # the caller's runs are left as they were
-    assert build_timeline(pairs, fps, min_duration).segments == want
     states = [state for _, state in pairs]
-    assert build_timeline(states, fps, min_duration).segments == (
+    assert build_timeline(runs_of(states), fps, min_duration).segments == (
         _batch_timeline_segments(list(enumerate(states)), fps, min_duration)
     )
 
@@ -356,7 +362,7 @@ def test_build_timeline_rejects_overlapping_runs():
 
 
 def test_build_timeline_single_run():
-    timeline = build_timeline([D] * 25, 25.0)
+    timeline = build_timeline([(D, 0, 24)], 25.0)
     assert len(timeline.segments) == 1
     seg = timeline.segments[0]
     assert seg.state is D
@@ -368,7 +374,7 @@ def test_build_timeline_single_run():
 
 def test_build_timeline_absorbs_flicker_into_first_segment():
     states = [D, SA, D, SA, D, SA, D, SA, D, SA]
-    timeline = build_timeline(states, 25.0, min_duration=0.2)
+    timeline = build_timeline(runs_of(states), 25.0, min_duration=0.2)
     assert [seg.state for seg in timeline.segments] == [D]
     assert timeline.segments[0].start_frame == 0
     assert timeline.segments[0].end_frame == 9
@@ -382,15 +388,15 @@ def test_build_timeline_empty_input():
 
 def test_build_timeline_short_leading_run_joins_the_following_segment():
     states = [U] * 3 + [D] * 50
-    timeline = build_timeline(states, 25.0, min_duration=0.5)
+    timeline = build_timeline(runs_of(states), 25.0, min_duration=0.5)
     assert [seg.state for seg in timeline.segments] == [D]
     assert timeline.segments[0].start_frame == 0
     assert timeline.segments[0].end_frame == 52
 
 
 def test_build_timeline_covers_gaps_with_the_held_state():
-    pairs = [(0, D), (1, D), (5, SA), (6, SA)]
-    timeline = build_timeline(pairs, 1.0, min_duration=0.0)
+    runs = [(D, 0, 1), (SA, 5, 6)]
+    timeline = build_timeline(runs, 1.0, min_duration=0.0)
     assert [(s.state, s.start_frame, s.end_frame) for s in timeline.segments] == [
         (D, 0, 4),
         (SA, 5, 6),
@@ -399,7 +405,7 @@ def test_build_timeline_covers_gaps_with_the_held_state():
 
 def test_build_timeline_rejects_non_increasing_frames():
     with pytest.raises(ValueError):
-        build_timeline([(0, D), (0, SA)], 25.0)
+        build_timeline([(D, 0, 0), (SA, 0, 0)], 25.0)
 
 
 @settings(max_examples=120, derandomize=True)
@@ -409,7 +415,7 @@ def test_build_timeline_rejects_non_increasing_frames():
     min_duration=st.sampled_from([0.0, 0.2, 0.5]),
 )
 def test_build_timeline_segments_partition_the_frame_range(states, fps, min_duration):
-    timeline = build_timeline(states, fps, min_duration)
+    timeline = build_timeline(runs_of(states), fps, min_duration)
     segments = timeline.segments
     assert segments[0].start_frame == 0
     assert segments[-1].end_frame == len(states) - 1
@@ -422,7 +428,7 @@ def test_build_timeline_segments_partition_the_frame_range(states, fps, min_dura
 
 def test_state_seconds_merges_swing_variants():
     states = [D] * 25 + [SA] * 25 + [P] * 25 + [SF] * 25
-    timeline = build_timeline(states, 25.0)
+    timeline = build_timeline(runs_of(states), 25.0)
     seconds = timeline.state_seconds()
     assert seconds == {"digging": 1.0, "swinging": 2.0, "dumping": 1.0}
     split = timeline.state_seconds(merge_swings=False)
@@ -432,7 +438,7 @@ def test_state_seconds_merges_swing_variants():
 
 def test_timeline_csv_round_trip(tmp_path):
     states = [U] * 3 + [D] * 50 + [SA] * 30 + [P] * 60 + [SF] * 30 + [D] * 40
-    timeline = build_timeline(states, 25.0)
+    timeline = build_timeline(runs_of(states), 25.0)
     path = tmp_path / "timeline.csv"
     write_timeline_csv(timeline, path)
     back = read_timeline_csv(path, 25.0)

@@ -85,17 +85,18 @@ def test_analyze_file_equals_analyze_stream(tmp_path, seed):
     path = tmp_path / "stream.jsonl"
     path.write_text("".join(line + "\n" for line in _crowded_lines(seed)))
     site = SiteConfig(regions=DEFAULT_REGIONS)
+    want_alerts = []
     with open(path, "rb") as fh:
-        want = analyze_stream(fh, site)
+        want = analyze_stream(fh, site, on_alerts=want_alerts.extend)
     assert want.alert_count > 0 and want.pause_events
     assert len(want.track_classes) > 3
     got = analyze_file(path, site)
     _assert_same_result(got, want)
-    # With a sink, alerts go to it in the same order and are not kept.
+    # The sink gets the same alerts in the same order.
     sunk = []
     got = analyze_file(path, site, on_alerts=sunk.extend)
-    assert got.alerts == [] and sunk == want.alerts
-    assert got.alert_count == want.alert_count
+    _assert_same_result(got, want)
+    assert sunk == want_alerts
     assert _no_child_left()
 
 

@@ -164,6 +164,29 @@ def test_report_single_override_keeps_the_other_value(
     assert float(table["productivity_m3_per_hr"]) == pytest.approx(want, rel=1e-9)
 
 
+@pytest.mark.parametrize("bad", ["abc", "", "-2"])
+def test_report_rejects_a_bad_number_in_report_csv(tmp_path, capsys, bad):
+    out, _ = _analysis_with_bucket(tmp_path, 0.6, 1.01)
+    lines = (out / "report.csv").read_text().splitlines()
+    line_no = lines.index("bucket_volume_m3,0.6") + 1
+    lines[line_no - 1] = f"bucket_volume_m3,{bad}"
+    (out / "report.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["report", "-i", str(out), "-o", str(tmp_path / "redo")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line_no}: {out / 'report.csv'}: bucket_volume_m3")
+    assert not (tmp_path / "redo").exists()
+
+
+def test_report_rejects_a_negative_override(tmp_path, capsys):
+    out, _ = _analysis_with_bucket(tmp_path, 0.6, 1.01)
+    capsys.readouterr()
+    redo = tmp_path / "redo"
+    assert main(["report", "-i", str(out), "-o", str(redo), "--volume", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("error: --volume")
+    assert not redo.exists()
+
+
 def test_analyze_multiple_inputs_get_subdirectories(tmp_path):
     site = _site_file(tmp_path)
     for seed in (1, 2):
@@ -285,6 +308,56 @@ def test_bad_configs_are_config_errors(tmp_path, capsys):
     assert main(["analyze", "-c", str(not_json), "-i", str(stream), "-o", "out"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "section",
+    [
+        {"nms": {"decay": 0}},
+        {"nms": {"decay": "a"}},
+        {"nms": {"iou_threshold": 2}},
+        {"nms": {"score_floor": 5}},
+        {"tracking": {"iou_threshold": -1}},
+        {"tracking": {"miss_cap": 2.5}},
+    ],
+    ids=repr,
+)
+@pytest.mark.parametrize("command", ["analyze", "watch"])
+def test_bad_nms_and_tracking_values_are_config_errors(
+    tmp_path, capsys, monkeypatch, section, command
+):
+    obj = site_config_to_dict(SiteConfig(regions=REGIONS))
+    obj.update(section)
+    site = _write_json(tmp_path / "site.json", obj)
+    stream = _watch_stream({0}, 2)
+    if command == "analyze":
+        path = tmp_path / "s.jsonl"
+        path.write_text(stream)
+        argv = ["analyze", "-c", str(site), "-i", str(path), "-o", str(tmp_path / "out")]
+    else:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stream))
+        argv = ["watch", "-c", str(site)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: invalid site config:")
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_analyze_rejects_inputs_that_share_an_output_directory(tmp_path, capsys):
+    site = _site_file(tmp_path, regions=REGIONS)
+    inputs = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        inputs.append(tmp_path / name / "stream.jsonl")
+        inputs[-1].write_text(_watch_stream({0}, 2))
+    out = tmp_path / "multi"
+    argv = ["analyze", "-c", str(site), "-i", str(inputs[0]), "-i", str(inputs[1])]
+    assert main(argv + ["-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(inputs[0]) in err and str(inputs[1]) in err
+    assert not out.exists()
 
 
 def _det_stream(path, frames, width=1920, height=1080):

@@ -2,7 +2,6 @@
 
 import json
 import re
-from pathlib import Path
 
 import pytest
 
@@ -19,7 +18,7 @@ from sitewatch.config import (
 from sitewatch.errors import ConfigError
 from sitewatch.geometry import Region, RegionLabel
 
-from helpers import DIG_SQUARE, DUMP_SQUARE, REGIONS
+from helpers import DIG_SQUARE, DUMP_SQUARE, REGIONS, readme_section
 
 
 def _minimal_dict():
@@ -118,6 +117,50 @@ def test_bad_activity_values_are_config_errors():
         site_config_from_dict(obj)
 
 
+# Values soft-NMS, the tracker, the safety monitor or the motion window
+# would reject (or silently mistake) once analysis starts.
+BAD_VALUES = [
+    ("nms", "decay", 0),
+    ("nms", "decay", "a"),
+    ("nms", "decay", float("nan")),
+    ("nms", "iou_threshold", 2),
+    ("nms", "iou_threshold", True),
+    ("nms", "score_floor", 5),
+    ("nms", "score_floor", None),
+    ("tracking", "iou_threshold", -1),
+    ("tracking", "miss_cap", 2.5),
+    ("tracking", "miss_cap", 0),
+    ("tracking", "miss_cap", True),
+    ("safety", "clearance_window", 2.5),
+    ("safety", "clearance_window", "25"),
+    ("bucket", "volume_m3", True),
+    ("bucket", "full_rate", -0.5),
+    ("activity", "motion_window", 2.5),
+]
+
+
+@pytest.mark.parametrize("section, key, value", BAD_VALUES)
+def test_bad_section_values_are_config_errors(section, key, value):
+    obj = _minimal_dict()
+    obj[section] = {key: value}
+    with pytest.raises(ConfigError, match="must be"):
+        site_config_from_dict(obj)
+
+
+def test_section_values_reach_their_fields():
+    obj = _minimal_dict()
+    obj["nms"] = {"decay": 2, "score_floor": 0}
+    obj["tracking"] = {"miss_cap": 1}
+    cfg = site_config_from_dict(obj)
+    assert (cfg.nms_iou, cfg.nms_decay, cfg.nms_score_floor) == (0.3, 2, 0)
+    assert (cfg.track_iou, cfg.track_miss_cap) == (0.3, 1)
+    assert site_config_to_dict(cfg)["nms"] == {
+        "iou_threshold": 0.3,
+        "decay": 2,
+        "score_floor": 0,
+    }
+
+
 def test_bad_rate_denominator_rejected():
     obj = _minimal_dict()
     obj["rate_denominator"] = "wall_clock"
@@ -151,15 +194,8 @@ def test_config_exit_code_is_two():
         assert exc.exit_code == 2
 
 
-def _readme_section(title):
-    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    start = text.index(f"\n## {title}\n")
-    end = text.find("\n## ", start + 1)
-    return text[start:] if end < 0 else text[start:end]
-
-
 def test_readme_site_configuration_blocks_load(tmp_path):
-    blocks = re.findall(r"```json\n(.*?)```", _readme_section("Site configuration"), re.S)
+    blocks = re.findall(r"```json\n(.*?)```", readme_section("Site configuration"), re.S)
     assert blocks
     for i, block in enumerate(blocks):
         path = tmp_path / f"site{i}.json"

@@ -1,10 +1,17 @@
-"""The streaming analyzer's memory: state history kept as runs, no alerts kept."""
+"""The streaming analyzer: state history kept as runs, alerts handed to a sink.
 
+Also runs README's "Library use" block against a simulated stream.
+"""
+
+import contextlib
+import io
+import re
 import tracemalloc
 
-from sitewatch.activity import ActionState, expand_runs
-from sitewatch.config import SiteConfig
+from sitewatch.activity import ActionState
+from sitewatch.config import SiteConfig, write_site_config
 from sitewatch.pipeline import StreamAnalyzer, analyze_stream
+from sitewatch.simulator import generate, inject_collision
 from sitewatch.streams import (
     Detection,
     MachineClass,
@@ -14,7 +21,15 @@ from sitewatch.streams import (
     serialize_header,
 )
 
-from helpers import DIG_CENTER, REGIONS, make_header, make_pose
+from helpers import (
+    DIG_CENTER,
+    REGIONS,
+    frame_states,
+    make_header,
+    make_pose,
+    random_scenario,
+    readme_section,
+)
 
 
 def _parked_excavator_lines(n_frames):
@@ -48,7 +63,7 @@ def _peak_traced_bytes(n_frames, site):
         lambda: analyze_stream(_parked_excavator_lines(n_frames), site)
     )
     assert result.frame_count == n_frames
-    assert result.alerts == []
+    assert result.alert_count == 0
     assert [state for state, _, _ in result.runs[result.primary_track]] == [
         ActionState.UNKNOWN,
         ActionState.DIGGING,
@@ -70,13 +85,11 @@ def test_analyze_memory_does_not_grow_with_frames():
     assert per_frame < 1.0, f"{per_frame:.2f} B per added frame"
 
 
-def test_result_states_expand_the_runs():
+def test_result_runs_cover_every_observed_frame():
     site = SiteConfig(regions=REGIONS)
     result = analyze_stream(_parked_excavator_lines(120), site)
     runs = result.runs[result.primary_track]
-    pairs = result.states[result.primary_track]
-    assert pairs == expand_runs(runs)
-    assert [f for f, _ in pairs] == list(range(120))
+    assert [f for f, _ in frame_states(runs)] == list(range(120))
     assert runs == [
         (ActionState.UNKNOWN, 0, 0),
         (ActionState.DIGGING, 1, 74),
@@ -126,13 +139,17 @@ def test_watch_memory_does_not_grow_with_alerts():
 
 def test_alert_sink_gets_every_alert_and_none_are_kept():
     site = SiteConfig(regions=REGIONS)
-    collected = analyze_stream(_parked_pair_lines(40), site)
     handed: list = []
     sunk = analyze_stream(_parked_pair_lines(40), site, on_alerts=handed.extend)
-    assert len(collected.alerts) == 40
-    assert handed == collected.alerts
-    assert sunk.alerts == []
-    assert sunk.alert_count == collected.alert_count == 40
+    assert [alert.frame for alert in handed] == list(range(40))
+    parser = parse_stream(_parked_pair_lines(40))
+    analyzer = StreamAnalyzer(site, parser.header)
+    returned = [alert for frame in parser for alert in analyzer.process_frame(frame)]
+    assert handed == returned
+    # Without a sink the alerts are counted and dropped.
+    counted = analyze_stream(_parked_pair_lines(40), site)
+    assert sunk.alert_count == counted.alert_count == 40
+    assert not hasattr(sunk, "alerts")
 
 
 def _sink_peak_bytes(n_frames, site):
@@ -157,3 +174,34 @@ def test_analyze_with_alert_sink_does_not_grow_with_alerts():
     long = _sink_peak_bytes(10 * n, site)
     per_frame = (long - short) / (9 * n)
     assert per_frame < 1.0, f"{per_frame:.2f} B per added frame"
+
+
+def test_readme_library_use_block_runs(tmp_path, monkeypatch):
+    (block,) = re.findall(r"```python\n(.*?)```", readme_section("Library use"), re.S)
+    config = random_scenario(4)
+    sim = generate(config)
+    dig_first, dig_last = next(
+        (first, last) for s, first, last in sim.truth.phases if s is ActionState.DIGGING
+    )
+    sim = inject_collision(sim, dig_first, dig_last, "human")
+    (tmp_path / "sim").mkdir()
+    sim.write(tmp_path / "sim" / "stream.jsonl")
+    site = SiteConfig(regions=config.regions, activity=config.activity)
+    write_site_config(site, tmp_path / "site.json")
+    monkeypatch.chdir(tmp_path)
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(block, {"__name__": "readme"})
+
+    alerts = []
+    result = analyze_stream(sim.lines(), site, on_alerts=alerts.extend)
+    assert len(alerts) == dig_last - dig_first + 1
+    primary = result.primary_track
+    want = [f"{a.frame} {a.region.value} {a.tracks}" for a in alerts]
+    want.append(f"{result.alert_count} {result.report.productivity_m3_per_hr}")
+    want += [
+        f"{seg.state.value} {seg.start_s} {seg.end_s}"
+        for seg in result.timelines[primary].segments
+    ]
+    want += [f"{state.value} {first} {last}" for state, first, last in result.runs[primary]]
+    assert printed.getvalue().splitlines() == want

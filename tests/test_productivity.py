@@ -16,6 +16,8 @@ from sitewatch.productivity import (
     write_report_csv,
 )
 
+from helpers import runs_of
+
 D = ActionState.DIGGING
 SA = ActionState.SWING_AFTER_DIGGING
 P = ActionState.DUMPING
@@ -27,7 +29,7 @@ def _timeline(spec, fps=25.0):
     states = []
     for state, count in spec:
         states.extend([state] * count)
-    return build_timeline(states, fps, min_duration=0.0)
+    return build_timeline(runs_of(states), fps, min_duration=0.0)
 
 
 def test_two_digging_starts_make_one_cycle():

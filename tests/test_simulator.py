@@ -26,7 +26,7 @@ from sitewatch.simulator import (
 )
 from sitewatch.streams import MachineClass, parse_stream
 
-from helpers import random_scenario
+from helpers import frame_states, random_scenario, runs_of
 
 D = ActionState.DIGGING
 SA = ActionState.SWING_AFTER_DIGGING
@@ -129,12 +129,12 @@ def test_zero_noise_round_trip_recovers_truth_exactly():
         site = SiteConfig(regions=config.regions, activity=config.activity)
         result = analyze_stream(sim.lines(), site)
         assert len(result.cycles) == len(sim.truth.cycles)
-        pairs = result.states[result.primary_track]
+        pairs = frame_states(result.runs[result.primary_track])
         assert [f for f, _ in pairs] == list(range(len(sim.frames)))
         assert [s for _, s in pairs] == sim.truth.states
         # The debounced timeline is the same debounce of the truth states.
         want = build_timeline(
-            sim.truth.states, config.fps, config.activity.min_segment_s
+            runs_of(sim.truth.states), config.fps, config.activity.min_segment_s
         )
         assert result.timelines[result.primary_track].segments == want.segments
 
@@ -197,8 +197,9 @@ def test_injected_human_alerts_with_the_excavator():
     assert bumped.truth.alert_frames == list(range(dig_first, dig_last + 1))
     # The analyzer sees the same collisions the truth records.
     site = SiteConfig(regions=sim.config.regions, activity=sim.config.activity)
-    result = analyze_stream(bumped.lines(), site)
-    assert [a.frame for a in result.alerts] == bumped.truth.alert_frames
+    alerts = []
+    analyze_stream(bumped.lines(), site, on_alerts=alerts.extend)
+    assert [a.frame for a in alerts] == bumped.truth.alert_frames
 
 
 def test_inject_collision_validation():
