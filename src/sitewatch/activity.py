@@ -26,7 +26,7 @@ from .geometry import (
     bbox_diagonal,
     classify_location,
 )
-from .streams import ARM, BODY, Pose
+from .streams import ARM, BODY, Pose, is_number
 
 
 class ActionState(str, Enum):
@@ -156,6 +156,10 @@ class ActivityConfig:
     def __post_init__(self):
         if self.stillness_mode not in ("px", "bbox_frac"):
             raise ValueError("stillness_mode must be 'px' or 'bbox_frac'")
+        # Each comparison below is false for NaN, so NaN would pass it.
+        for name in ("stillness_threshold", "idle_grace_s", "min_segment_s", "probe_conf_floor"):
+            if not is_number(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number")
         if self.stillness_threshold <= 0:
             raise ValueError("stillness_threshold must be positive")
         if not isinstance(self.motion_window, int) or self.motion_window < 2:

@@ -27,7 +27,7 @@ from .metrics import (
     keypoint_ap,
     segment_ap,
 )
-from .pipeline import AnalysisResult, StreamAnalyzer, analyze_file
+from .pipeline import AnalysisResult, StreamAnalyzer, analyze_file, frame_source
 from .productivity import (
     build_report,
     detect_cycles,
@@ -36,7 +36,7 @@ from .productivity import (
     write_report_csv,
 )
 from .simulator import load_scenario, run_scenario
-from .streams import parse_stream, read_stream
+from .streams import read_stream
 
 
 def _fmt(value) -> str:
@@ -323,29 +323,29 @@ def cmd_watch(args) -> int:
     # skips) each line itself, as it does for analyze.
     stdin = getattr(sys.stdin, "buffer", sys.stdin)
     out = sys.stdout
-    parser = parse_stream(stdin, strict=not args.lenient)
-    analyzer = StreamAnalyzer(site, parser.header)
-    emitted_events = 0
-    for frame in parser:
-        alerts = analyzer.process_frame(frame)
-        for alert in alerts:
-            record = {
-                "type": "alert",
-                "frame": alert.frame,
-                "offset_s": alert.offset_s,
-                "region": alert.region.value,
-                "tracks": [[tid, cls.value] for tid, cls in alert.tracks],
-            }
-            out.write(json.dumps(record, separators=(",", ":")) + "\n")
-        events = analyzer.monitor.pause_events
-        while emitted_events < len(events):
-            kind, at_frame = events[emitted_events]
-            out.write(
-                json.dumps({"type": kind, "frame": at_frame}, separators=(",", ":"))
-                + "\n"
-            )
-            emitted_events += 1
-        out.flush()
+    with frame_source(stdin, strict=not args.lenient) as frames:
+        analyzer = StreamAnalyzer(site, frames.header)
+        emitted_events = 0
+        for frame in frames:
+            alerts = analyzer.process_frame(frame)
+            for alert in alerts:
+                record = {
+                    "type": "alert",
+                    "frame": alert.frame,
+                    "offset_s": alert.offset_s,
+                    "region": alert.region.value,
+                    "tracks": [[tid, cls.value] for tid, cls in alert.tracks],
+                }
+                out.write(json.dumps(record, separators=(",", ":")) + "\n")
+            events = analyzer.monitor.pause_events
+            while emitted_events < len(events):
+                kind, at_frame = events[emitted_events]
+                out.write(
+                    json.dumps({"type": kind, "frame": at_frame}, separators=(",", ":"))
+                    + "\n"
+                )
+                emitted_events += 1
+            out.flush()
     return 1 if analyzer.monitor.pause.active else EXIT_OK
 
 

@@ -14,6 +14,7 @@ from .activity import ActivityConfig
 from .errors import ConfigError
 from .geometry import Region, RegionLabel, validate_regions
 from .productivity import RATE_DENOMINATORS
+from .streams import is_number
 
 
 @dataclass(frozen=True)
@@ -40,22 +41,18 @@ class SiteConfig:
         # here so a bad value fails when the config is read.
         for name in ("nms_iou", "nms_score_floor", "track_iou"):
             value = getattr(self, name)
-            if not _is_number(value) or not 0 <= value <= 1:
+            if not is_number(value) or not 0 <= value <= 1:
                 raise ValueError(f"{name} must be a number in [0, 1]")
-        if not _is_number(self.nms_decay) or not self.nms_decay > 0:
+        if not is_number(self.nms_decay) or not self.nms_decay > 0:
             raise ValueError("nms_decay must be a positive number")
         for name in ("bucket_volume_m3", "bucket_full_rate"):
             value = getattr(self, name)
-            if not _is_number(value) or not value >= 0:
+            if not is_number(value) or not value >= 0:
                 raise ValueError(f"{name} must be a non-negative number")
         for name in ("track_miss_cap", "clearance_window"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ValueError(f"{name} must be an integer of at least 1")
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def expect_keys(obj: dict, allowed: set[str], required: set[str], what: str) -> None:

@@ -125,7 +125,12 @@ class StreamHeader:
     source: str
 
 
-def _is_number(v) -> bool:
+def is_number(v) -> bool:
+    """A finite int or float that fits in a float; never a bool.
+
+    The one number check for stream values and site and activity config
+    values.
+    """
     # Exact type checks: JSON values are always plain int/float/bool, and
     # bool must not pass as a number.  JSON integers have no size limit,
     # so an int must also fit in a float.
@@ -166,7 +171,7 @@ def _require_keys(obj: dict, keys: frozenset[str], what: str, line_no: int) -> N
 
 def _parse_header(obj, line_no: int) -> StreamHeader:
     _require_keys(obj, _HEADER_KEYS, "header", line_no)
-    if not _is_number(obj["fps"]) or obj["fps"] <= 0:
+    if not is_number(obj["fps"]) or obj["fps"] <= 0:
         raise StreamFormatError("header fps must be a positive number", line_no)
     for key in ("width", "height"):
         if not _is_int(obj[key]) or obj[key] <= 0:
@@ -187,12 +192,12 @@ def _parse_detection(obj, header: StreamHeader, line_no: int) -> Detection:
         raise StreamFormatError("bbox must be [x, y, w, h] numbers", line_no)
     x, y, w, h = bbox
     isfinite = math.isfinite
-    # _is_number on each value, with all-float boxes (the usual case)
+    # is_number on each value, with all-float boxes (the usual case)
     # tested inline.
     if float is type(x) is type(y) is type(w) is type(h):
         valid = isfinite(x) and isfinite(y) and isfinite(w) and isfinite(h)
     else:
-        valid = _is_number(x) and _is_number(y) and _is_number(w) and _is_number(h)
+        valid = is_number(x) and is_number(y) and is_number(w) and is_number(h)
         if valid:
             x, y, w, h = float(x), float(y), float(w), float(h)
     if not valid:
@@ -202,7 +207,7 @@ def _parse_detection(obj, header: StreamHeader, line_no: int) -> Detection:
     if x < 0 or y < 0 or x + w > header.width or y + h > header.height:
         raise StreamFormatError("bbox exceeds the image extent", line_no)
     score = obj["score"]
-    if type(score) is not float and _is_number(score):
+    if type(score) is not float and is_number(score):
         score = float(score)
     # The range test also rejects nan and inf.
     if type(score) is not float or not 0.0 <= score <= 1.0:
@@ -236,12 +241,12 @@ def _parse_pose(obj, detections: Sequence[Detection], line_no: int) -> tuple[int
         if type(triple) is not list or len(triple) != 3:
             raise StreamFormatError(f"keypoint {name!r} must be [x, y, conf]", line_no)
         x, y, conf = triple
-        # _is_number on each value, with all-float triples (the usual
+        # is_number on each value, with all-float triples (the usual
         # case) tested inline.
         if float is type(x) is type(y) is type(conf):
             valid = isfinite(x) and isfinite(y) and isfinite(conf)
         else:
-            valid = _is_number(x) and _is_number(y) and _is_number(conf)
+            valid = is_number(x) and is_number(y) and is_number(conf)
             if valid:
                 x, y, conf = float(x), float(y), float(conf)
         if not valid:

@@ -187,6 +187,20 @@ def frame_line(index=0, detections="[]", poses="[]") -> str:
     return f'{{"index":{index},"detections":{detections},"poses":{poses}}}'
 
 
+def watch_stream(alert_frames, total):
+    """Excavator parked in the digging square; loader joins on some frames."""
+    lines = ['{"fps": 25.0, "width": 1920, "height": 1080, "source": "cam"}']
+    exc = '{"class": "excavator", "bbox": [180.0, 120.0, 60.0, 80.0], "score": 0.95}'
+    loader_in = '{"class": "loader", "bbox": [150.0, 150.0, 50.0, 50.0], "score": 0.9}'
+    loader_out = '{"class": "loader", "bbox": [1500.0, 900.0, 50.0, 50.0], "score": 0.9}'
+    for f in range(total):
+        loader = loader_in if f in alert_frames else loader_out
+        lines.append(
+            f'{{"index": {f}, "detections": [{exc}, {loader}], "poses": []}}'
+        )
+    return "\n".join(lines) + "\n"
+
+
 # (name, lines, line number the error must cite).  Every fixture must be
 # rejected in strict mode with the parse-error exit code.
 MALFORMED_STREAMS = [

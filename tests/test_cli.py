@@ -29,7 +29,7 @@ from sitewatch.streams import (
     write_stream,
 )
 
-from helpers import REGIONS, make_pose, shift_pose
+from helpers import REGIONS, make_pose, shift_pose, watch_stream
 
 pytestmark = pytest.mark.usefixtures("in_tmp_path")
 
@@ -319,6 +319,13 @@ def test_bad_configs_are_config_errors(tmp_path, capsys):
         {"nms": {"score_floor": 5}},
         {"tracking": {"iou_threshold": -1}},
         {"tracking": {"miss_cap": 2.5}},
+        # Written to the file as the JSON literals NaN, Infinity and true.
+        {"nms": {"decay": math.inf}},
+        {"bucket": {"volume_m3": math.inf}},
+        {"activity": {"idle_grace_s": math.nan}},
+        {"activity": {"stillness_threshold": True}},
+        {"activity": {"stillness_threshold": math.inf}},
+        {"activity": {"min_segment_s": math.inf}},
     ],
     ids=repr,
 )
@@ -329,7 +336,7 @@ def test_bad_nms_and_tracking_values_are_config_errors(
     obj = site_config_to_dict(SiteConfig(regions=REGIONS))
     obj.update(section)
     site = _write_json(tmp_path / "site.json", obj)
-    stream = _watch_stream({0}, 2)
+    stream = watch_stream({0}, 2)
     if command == "analyze":
         path = tmp_path / "s.jsonl"
         path.write_text(stream)
@@ -339,7 +346,8 @@ def test_bad_nms_and_tracking_values_are_config_errors(
         argv = ["watch", "-c", str(site)]
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: invalid site config:")
+    what = "activity" if "activity" in section else "site"
+    assert captured.err.startswith(f"error: invalid {what} config:")
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
 
@@ -350,7 +358,7 @@ def test_analyze_rejects_inputs_that_share_an_output_directory(tmp_path, capsys)
     for name in ("a", "b"):
         (tmp_path / name).mkdir()
         inputs.append(tmp_path / name / "stream.jsonl")
-        inputs[-1].write_text(_watch_stream({0}, 2))
+        inputs[-1].write_text(watch_stream({0}, 2))
     out = tmp_path / "multi"
     argv = ["analyze", "-c", str(site), "-i", str(inputs[0]), "-i", str(inputs[1])]
     assert main(argv + ["-o", str(out)]) == 2
@@ -510,23 +518,9 @@ def test_eval_action_rejects_missing_columns(tmp_path, capsys):
     assert code == 3
 
 
-def _watch_stream(alert_frames, total):
-    """Excavator parked in the digging square; loader joins on some frames."""
-    lines = ['{"fps": 25.0, "width": 1920, "height": 1080, "source": "cam"}']
-    exc = '{"class": "excavator", "bbox": [180.0, 120.0, 60.0, 80.0], "score": 0.95}'
-    loader_in = '{"class": "loader", "bbox": [150.0, 150.0, 50.0, 50.0], "score": 0.9}'
-    loader_out = '{"class": "loader", "bbox": [1500.0, 900.0, 50.0, 50.0], "score": 0.9}'
-    for f in range(total):
-        loader = loader_in if f in alert_frames else loader_out
-        lines.append(
-            f'{{"index": {f}, "detections": [{exc}, {loader}], "poses": []}}'
-        )
-    return "\n".join(lines) + "\n"
-
-
 def test_watch_emits_alerts_and_pause_events(tmp_path, capsys, monkeypatch):
     site = _site_file(tmp_path, regions=REGIONS, clearance_window=3)
-    monkeypatch.setattr("sys.stdin", io.StringIO(_watch_stream({0, 1, 2}, 6)))
+    monkeypatch.setattr("sys.stdin", io.StringIO(watch_stream({0, 1, 2}, 6)))
     code = main(["watch", "-c", str(site)])
     assert code == 0
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
@@ -546,7 +540,7 @@ def test_watch_emits_alerts_and_pause_events(tmp_path, capsys, monkeypatch):
 
 def test_watch_exits_nonzero_when_pause_never_clears(tmp_path, capsys, monkeypatch):
     site = _site_file(tmp_path, regions=REGIONS, clearance_window=25)
-    monkeypatch.setattr("sys.stdin", io.StringIO(_watch_stream({4, 5}, 6)))
+    monkeypatch.setattr("sys.stdin", io.StringIO(watch_stream({4, 5}, 6)))
     code = main(["watch", "-c", str(site)])
     assert code == 1
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
@@ -559,7 +553,7 @@ def test_watch_exits_nonzero_when_pause_never_clears(tmp_path, capsys, monkeypat
 
 def test_watch_rejects_corrupt_input_strictly(tmp_path, capsys, monkeypatch):
     site = _site_file(tmp_path, regions=REGIONS)
-    text = _watch_stream(set(), 2) + "not json\n"
+    text = watch_stream(set(), 2) + "not json\n"
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     code = main(["watch", "-c", str(site)])
     assert code == 3
@@ -571,7 +565,7 @@ def test_analyze_failing_mid_stream_leaves_no_alerts_csv(tmp_path, capsys):
     # some of them must not leave a partial alerts.csv behind.
     site = _site_file(tmp_path, regions=REGIONS)
     stream = tmp_path / "bad.jsonl"
-    stream.write_text(_watch_stream({0, 1, 2}, 6) + "not json\n")
+    stream.write_text(watch_stream({0, 1, 2}, 6) + "not json\n")
     out = tmp_path / "out"
     code = main(["analyze", "-c", str(site), "-i", str(stream), "-o", str(out)])
     assert code == 3
@@ -582,7 +576,7 @@ def test_analyze_failing_mid_stream_leaves_no_alerts_csv(tmp_path, capsys):
 
 def _undecodable_stream():
     """Frames 0-2 alert; line 3 (frame 1) ends in a byte that is not UTF-8."""
-    lines = _watch_stream({0, 1, 2}, 3).encode().splitlines(keepends=True)
+    lines = watch_stream({0, 1, 2}, 3).encode().splitlines(keepends=True)
     lines[2] = lines[2].rstrip() + b"\xff\n"
     return b"".join(lines)
 
@@ -644,7 +638,7 @@ def test_analyze_prints_each_summary_once_with_buffered_stdout(tmp_path):
     inputs = []
     for name in ("a", "b"):
         path = tmp_path / f"{name}.jsonl"
-        path.write_text(_watch_stream({0, 1}, 5))
+        path.write_text(watch_stream({0, 1}, 5))
         inputs += ["-i", str(path)]
     src = Path(sitewatch.__file__).resolve().parents[1]
     # The forked path is forced, as where more than one CPU is usable.
@@ -668,7 +662,7 @@ def test_analyze_prints_each_summary_once_with_buffered_stdout(tmp_path):
 def test_analyze_writes_alerts_csv_and_counts_them(tmp_path, capsys):
     site = _site_file(tmp_path, regions=REGIONS)
     stream = tmp_path / "ok.jsonl"
-    stream.write_text(_watch_stream({0, 1, 2, 4}, 6))
+    stream.write_text(watch_stream({0, 1, 2, 4}, 6))
     out = tmp_path / "out"
     assert main(["analyze", "-c", str(site), "-i", str(stream), "-o", str(out)]) == 0
     assert "alerts: 4" in capsys.readouterr().out.splitlines()

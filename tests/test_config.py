@@ -136,6 +136,16 @@ BAD_VALUES = [
     ("bucket", "volume_m3", True),
     ("bucket", "full_rate", -0.5),
     ("activity", "motion_window", 2.5),
+    # NaN and infinities pass the range comparisons, and a bool is an int.
+    ("activity", "idle_grace_s", float("nan")),
+    ("activity", "stillness_threshold", True),
+    ("activity", "min_segment_s", float("inf")),
+    ("activity", "stillness_threshold", float("inf")),
+    ("activity", "probe_conf_floor", False),
+    ("activity", "idle_grace_s", -float("inf")),
+    ("activity", "min_segment_s", 10**400),
+    ("nms", "decay", float("inf")),
+    ("bucket", "volume_m3", float("inf")),
 ]
 
 
