@@ -26,7 +26,7 @@ from .geometry import (
     bbox_diagonal,
     classify_location,
 )
-from .streams import ARM, BODY, Pose, is_number
+from .streams import ARM, BODY, Pose, check_fields, number_field
 
 
 class ActionState(str, Enum):
@@ -146,30 +146,17 @@ class ActivityConfig:
     excavator bbox diagonal per frame in "bbox_frac" mode.
     """
 
-    stillness_threshold: float = 1.5
+    stillness_threshold: float = number_field(1.5, "(0, inf)")
     stillness_mode: str = "px"
-    motion_window: int = 5
-    idle_grace_s: float = 3.0
-    min_segment_s: float = 0.5
-    probe_conf_floor: float = 0.3
+    motion_window: int = number_field(5, "[2, inf)", integer=True)
+    idle_grace_s: float = number_field(3.0, "[0, inf)")
+    min_segment_s: float = number_field(0.5, "[0, inf)")
+    probe_conf_floor: float = number_field(0.3, "[0, 1]")
 
     def __post_init__(self):
         if self.stillness_mode not in ("px", "bbox_frac"):
             raise ValueError("stillness_mode must be 'px' or 'bbox_frac'")
-        # Each comparison below is false for NaN, so NaN would pass it.
-        for name in ("stillness_threshold", "idle_grace_s", "min_segment_s", "probe_conf_floor"):
-            if not is_number(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite number")
-        if self.stillness_threshold <= 0:
-            raise ValueError("stillness_threshold must be positive")
-        if not isinstance(self.motion_window, int) or self.motion_window < 2:
-            raise ValueError("motion_window must be an integer of at least 2")
-        if self.idle_grace_s < 0:
-            raise ValueError("idle_grace_s must be non-negative")
-        if self.min_segment_s < 0:
-            raise ValueError("min_segment_s must be non-negative")
-        if not 0.0 <= self.probe_conf_floor <= 1.0:
-            raise ValueError("probe_conf_floor must be in [0, 1]")
+        check_fields(self)
 
 
 class ActionClassifier:

@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 from .activity import ActionTimeline, read_timeline_csv, write_timeline_csv
@@ -22,6 +23,7 @@ from .config import SiteConfig, load_site_config
 from .errors import EXIT_IO, EXIT_OK, ConfigError, SitewatchError, StreamFormatError
 from .metrics import (
     DEFAULT_OKS_THRESHOLDS,
+    IOU_GATE_RANGE,
     TemporalSegment,
     detection_eval,
     keypoint_ap,
@@ -36,7 +38,7 @@ from .productivity import (
     write_report_csv,
 )
 from .simulator import load_scenario, run_scenario
-from .streams import read_stream
+from .streams import check_number, read_stream
 
 
 def _fmt(value) -> str:
@@ -162,14 +164,17 @@ def cmd_report(args) -> int:
         raise StreamFormatError(f"{timeline_path}: {exc}") from None
     # Each flag overrides its own value only; the other comes from the
     # analysis's report.csv.
-    volume, full_rate = _report_params_from_csv(src / "report.csv")
-    if args.volume is not None:
-        volume = args.volume
-    if args.full_rate is not None:
-        full_rate = args.full_rate
-    if not (volume >= 0 and full_rate >= 0):
-        raise ConfigError("--volume and --full-rate must be non-negative numbers")
-    report = build_report(timeline, volume, full_rate, args.rate_denominator)
+    params = _report_params_from_csv(src / "report.csv")
+    for flag, name, value in (
+        ("--volume", "bucket_volume_m3", args.volume),
+        ("--full-rate", "bucket_full_rate", args.full_rate),
+    ):
+        if value is not None:
+            _check_option(flag, value, *_BUCKET_RULES[name])
+            params[name] = value
+    report = build_report(
+        timeline, params["bucket_volume_m3"], params["bucket_full_rate"], args.rate_denominator
+    )
     out = Path(args.out) if args.out else src
     out.mkdir(parents=True, exist_ok=True)
     write_report_csv(report, out / "report.csv")
@@ -179,11 +184,22 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _report_params_from_csv(path) -> tuple[float, float]:
-    params = {
-        "bucket_volume_m3": SiteConfig.bucket_volume_m3,
-        "bucket_full_rate": SiteConfig.bucket_full_rate,
-    }
+# The site config's rules for the bucket values report can override.
+_BUCKET_RULES = {
+    f.name: f.metadata["number"] for f in fields(SiteConfig) if f.name.startswith("bucket_")
+}
+
+
+def _check_option(flag: str, value, interval, integer=False) -> None:
+    """A command-line number outside its rule is a config error."""
+    try:
+        check_number(flag, value, interval, integer)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _report_params_from_csv(path) -> dict[str, float]:
+    params = {name: getattr(SiteConfig, name) for name in _BUCKET_RULES}
     if os.path.exists(path):
         with open(path, "r", encoding="utf-8", newline="") as fh:
             for line_no, row in enumerate(csv.DictReader(fh), start=2):
@@ -192,15 +208,15 @@ def _report_params_from_csv(path) -> tuple[float, float]:
                     try:
                         value = float(row["value"])
                     except (TypeError, ValueError):
-                        value = None
-                    if value is None or not value >= 0:
+                        value = None  # which check_number rejects
+                    try:
+                        check_number(name, value, *_BUCKET_RULES[name])
+                    except ValueError as exc:
                         raise StreamFormatError(
-                            f"{path}: {name} must be a non-negative number, "
-                            f"got {row['value']!r}",
-                            line_no,
-                        )
+                            f"{path}: {exc}, got {row['value']!r}", line_no
+                        ) from None
                     params[name] = value
-    return params["bucket_volume_m3"], params["bucket_full_rate"]
+    return params
 
 
 def _eval_det(args) -> list[tuple[str, str]]:
@@ -262,6 +278,7 @@ def _read_segments_csv(path, with_scores: bool):
                     row["state"], float(row["start_s"]), float(row["end_s"])
                 )
                 score = float(row["score"]) if "score" in row and row["score"] else 1.0
+                check_number("score", score)
             except (TypeError, ValueError) as exc:
                 raise StreamFormatError(f"{path}: {exc}", line_no) from None
             segments.append((segment, score) if with_scores else segment)
@@ -300,6 +317,8 @@ def cyclic_gc_paused():
 
 
 def cmd_eval(args) -> int:
+    if args.task != "pose":
+        _check_option("--iou-gate", args.iou_gate, IOU_GATE_RANGE)
     with cyclic_gc_paused():
         if args.task == "det":
             rows = _eval_det(args)

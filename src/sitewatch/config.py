@@ -14,21 +14,23 @@ from .activity import ActivityConfig
 from .errors import ConfigError
 from .geometry import Region, RegionLabel, validate_regions
 from .productivity import RATE_DENOMINATORS
-from .streams import is_number
+from .streams import check_fields, number_field
 
 
 @dataclass(frozen=True)
 class SiteConfig:
     regions: tuple[Region, ...]
     activity: ActivityConfig = field(default_factory=ActivityConfig)
-    nms_iou: float = 0.3
-    nms_decay: float = 0.5
-    nms_score_floor: float = 0.001
-    track_iou: float = 0.3
-    track_miss_cap: int = 25
-    clearance_window: int = 25
-    bucket_volume_m3: float = 0.4
-    bucket_full_rate: float = 1.0
+    # The ranges soft_nms_indexed and IouTracker enforce, checked here so
+    # a bad value fails when the config is read.
+    nms_iou: float = number_field(0.3, "[0, 1]")
+    nms_decay: float = number_field(0.5, "(0, inf)")
+    nms_score_floor: float = number_field(0.001, "[0, 1]")
+    track_iou: float = number_field(0.3, "[0, 1]")
+    track_miss_cap: int = number_field(25, "[1, inf)", integer=True)
+    clearance_window: int = number_field(25, "[1, inf)", integer=True)
+    bucket_volume_m3: float = number_field(0.4, "[0, inf)")
+    bucket_full_rate: float = number_field(1.0, "[0, inf)")
     rate_denominator: str = "dig_span"
 
     def __post_init__(self):
@@ -37,22 +39,7 @@ class SiteConfig:
             raise ValueError(
                 f"rate_denominator must be one of {RATE_DENOMINATORS}"
             )
-        # The ranges soft_nms_indexed and IouTracker enforce, checked
-        # here so a bad value fails when the config is read.
-        for name in ("nms_iou", "nms_score_floor", "track_iou"):
-            value = getattr(self, name)
-            if not is_number(value) or not 0 <= value <= 1:
-                raise ValueError(f"{name} must be a number in [0, 1]")
-        if not is_number(self.nms_decay) or not self.nms_decay > 0:
-            raise ValueError("nms_decay must be a positive number")
-        for name in ("bucket_volume_m3", "bucket_full_rate"):
-            value = getattr(self, name)
-            if not is_number(value) or not value >= 0:
-                raise ValueError(f"{name} must be a non-negative number")
-        for name in ("track_miss_cap", "clearance_window"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{name} must be an integer of at least 1")
+        check_fields(self)
 
 
 def expect_keys(obj: dict, allowed: set[str], required: set[str], what: str) -> None:
@@ -77,8 +64,8 @@ def region_from_dict(obj: dict) -> Region:
     if not isinstance(polygon, list):
         raise ConfigError("region polygon must be a list of [x, y] pairs")
     try:
-        return Region(label, tuple((p[0], p[1]) for p in polygon))
-    except (ValueError, TypeError, IndexError) as exc:
+        return Region(label, polygon)
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid region polygon: {exc}") from None
 
 
@@ -98,46 +85,83 @@ def activity_from_dict(obj: dict) -> ActivityConfig:
         raise ConfigError(f"invalid activity config: {exc}") from None
 
 
-def activity_to_dict(cfg: ActivityConfig) -> dict:
-    return asdict(cfg)
+def _regions_from_list(value) -> tuple[Region, ...]:
+    if not isinstance(value, list) or not value:
+        raise ConfigError("regions must be a non-empty list")
+    return tuple(region_from_dict(r) for r in value)
 
 
-# (JSON section, key) -> SiteConfig field, in the order the file is
-# written; each default is SiteConfig's own.
-_SECTION_FIELDS = {
-    ("nms", "iou_threshold"): "nms_iou",
-    ("nms", "decay"): "nms_decay",
-    ("nms", "score_floor"): "nms_score_floor",
-    ("tracking", "iou_threshold"): "track_iou",
-    ("tracking", "miss_cap"): "track_miss_cap",
-    ("safety", "clearance_window"): "clearance_window",
-    ("bucket", "volume_m3"): "bucket_volume_m3",
-    ("bucket", "full_rate"): "bucket_full_rate",
-}
-_SECTION_KEYS = {
-    section: {k for s, k in _SECTION_FIELDS if s == section}
-    for section, _ in _SECTION_FIELDS
+# (decode, encode) for the values a config file does not hold as they
+# are in memory; every other field is written as it is.
+_AS_WRITTEN = (lambda value: value, lambda value: value)
+CODECS = {
+    "regions": (_regions_from_list, lambda regions: [region_to_dict(r) for r in regions]),
+    "activity": (activity_from_dict, asdict),
 }
 
-_SITE_KEYS = {"regions", "activity", "rate_denominator", *_SECTION_KEYS}
+
+def fields_from_dict(
+    obj: dict, table: dict, codecs: dict, what: str, required=(), extra=()
+) -> dict:
+    """A config dataclass's keyword arguments, read from its JSON object.
+
+    ``table`` maps each JSON key, or "section.key" for a key inside a
+    section object, to a field name, in the order the file is written.
+    Keys other than these and the top-level ``extra`` ones are rejected.
+    """
+    keys: dict[str, set] = {"": set()}
+    for path in table:
+        section, _, key = path.rpartition(".")
+        keys[""].add(section or key)
+        keys.setdefault(section, set()).add(key)
+    expect_keys(obj, keys[""] | set(extra), set(required), what)
+    for section, names in keys.items():
+        if section and section in obj:
+            expect_keys(obj[section], names, set(), f"{what} {section}")
+    kwargs = {}
+    for path, name in table.items():
+        section, _, key = path.rpartition(".")
+        values = obj.get(section, {}) if section else obj
+        if key in values:
+            decode, _ = codecs.get(name, _AS_WRITTEN)
+            try:
+                kwargs[name] = decode(values[key])
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(f"invalid {what} {path}: {exc}") from None
+    return kwargs
+
+
+def fields_to_dict(cfg, table: dict, codecs: dict) -> dict:
+    """The JSON object ``fields_from_dict`` reads back; None is left out."""
+    out: dict = {}
+    for path, name in table.items():
+        value = getattr(cfg, name)
+        if value is not None:
+            section, _, key = path.rpartition(".")
+            _, encode = codecs.get(name, _AS_WRITTEN)
+            target = out.setdefault(section, {}) if section else out
+            target[key] = encode(value)
+    return out
+
+
+# JSON key -> SiteConfig field; each default is SiteConfig's own.
+_SITE_FIELDS = {
+    "regions": "regions",
+    "activity": "activity",
+    "nms.iou_threshold": "nms_iou",
+    "nms.decay": "nms_decay",
+    "nms.score_floor": "nms_score_floor",
+    "tracking.iou_threshold": "track_iou",
+    "tracking.miss_cap": "track_miss_cap",
+    "safety.clearance_window": "clearance_window",
+    "bucket.volume_m3": "bucket_volume_m3",
+    "bucket.full_rate": "bucket_full_rate",
+    "rate_denominator": "rate_denominator",
+}
 
 
 def site_config_from_dict(obj: dict) -> SiteConfig:
-    expect_keys(obj, _SITE_KEYS, {"regions"}, "site config")
-    if not isinstance(obj["regions"], list) or not obj["regions"]:
-        raise ConfigError("site config needs a non-empty regions list")
-    regions = tuple(region_from_dict(r) for r in obj["regions"])
-    kwargs: dict = {"regions": regions}
-    if "activity" in obj:
-        kwargs["activity"] = activity_from_dict(obj["activity"])
-    for section, keys in _SECTION_KEYS.items():
-        if section in obj:
-            expect_keys(obj[section], keys, set(), f"{section} config")
-    for (section, key), name in _SECTION_FIELDS.items():
-        if key in obj.get(section, ()):
-            kwargs[name] = obj[section][key]
-    if "rate_denominator" in obj:
-        kwargs["rate_denominator"] = obj["rate_denominator"]
+    kwargs = fields_from_dict(obj, _SITE_FIELDS, CODECS, "site config", {"regions"})
     try:
         return SiteConfig(**kwargs)
     except (ValueError, TypeError) as exc:
@@ -145,14 +169,7 @@ def site_config_from_dict(obj: dict) -> SiteConfig:
 
 
 def site_config_to_dict(cfg: SiteConfig) -> dict:
-    out = {
-        "regions": [region_to_dict(r) for r in cfg.regions],
-        "activity": activity_to_dict(cfg.activity),
-    }
-    for (section, key), name in _SECTION_FIELDS.items():
-        out.setdefault(section, {})[key] = getattr(cfg, name)
-    out["rate_denominator"] = cfg.rate_denominator
-    return out
+    return fields_to_dict(cfg, _SITE_FIELDS, CODECS)
 
 
 def load_json_config(path, what: str) -> dict:
@@ -170,9 +187,3 @@ def load_json_config(path, what: str) -> dict:
 
 def load_site_config(path) -> SiteConfig:
     return site_config_from_dict(load_json_config(path, "site config"))
-
-
-def write_site_config(cfg: SiteConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(site_config_to_dict(cfg), fh, indent=2)
-        fh.write("\n")

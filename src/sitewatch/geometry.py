@@ -137,19 +137,22 @@ def polygon_is_simple(polygon: Sequence[Point]) -> bool:
     return True
 
 
-def validate_polygon(polygon: Sequence[Point]) -> None:
-    """Raise ValueError unless polygon is a simple ring with positive area."""
+def validate_polygon(polygon: Sequence[Point]) -> tuple[Point, ...]:
+    """The polygon as floats; ValueError unless it is a simple ring with positive area."""
     if len(polygon) < 3:
         raise ValueError("polygon needs at least 3 vertices")
     for p in polygon:
         if len(p) != 2:
             raise ValueError("polygon vertices must be (x, y) pairs")
-        if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in p):
+        x, y = p
+        if not (is_number(x) and is_number(y)):
             raise ValueError("polygon vertices must be finite numbers")
+    polygon = tuple((float(x), float(y)) for x, y in polygon)
     if polygon_area(polygon) <= _EPS:
         raise ValueError("polygon area must be positive")
     if not polygon_is_simple(polygon):
         raise ValueError("polygon must not self-intersect")
+    return polygon
 
 
 @dataclass(frozen=True)
@@ -161,8 +164,7 @@ class Region:
 
     def __post_init__(self):
         object.__setattr__(self, "label", RegionLabel(self.label))
-        poly = tuple((float(x), float(y)) for x, y in self.polygon)
-        validate_polygon(poly)
+        poly = validate_polygon(self.polygon)
         object.__setattr__(self, "polygon", poly)
         xs = [p[0] for p in poly]
         ys = [p[1] for p in poly]
@@ -319,4 +321,4 @@ def bbox_diagonal(bbox: BBox) -> float:
 
 # The pose layout belongs to streams, which imports this module's box
 # helpers; imported last, it finds them defined.
-from .streams import ARM_JOINT, BUCKET_END1, BUCKET_END2, BUCKET_JOINT, Pose
+from .streams import ARM_JOINT, BUCKET_END1, BUCKET_END2, BUCKET_JOINT, Pose, is_number

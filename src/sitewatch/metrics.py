@@ -13,11 +13,12 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence
 
 from .geometry import BBox, bbox_iou
-from .streams import KEYPOINT_NAMES, Pose
+from .streams import KEYPOINT_NAMES, Pose, check_fields, check_number, number_field
 
 DEFAULT_KAPPA = 0.5
 DEFAULT_OKS_THRESHOLDS = (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
 _RECALL_POINTS = tuple(i / 10 for i in range(11))
+IOU_GATE_RANGE = "(0, 1]"
 
 
 @dataclass(frozen=True)
@@ -29,10 +30,11 @@ class ScoredMatch:
 @dataclass(frozen=True)
 class TemporalSegment:
     label: str
-    start_s: float
-    end_s: float
+    start_s: float = number_field()
+    end_s: float = number_field()
 
     def __post_init__(self):
+        check_fields(self)
         if not self.end_s > self.start_s:
             raise ValueError("segment end must be after its start")
 
@@ -123,8 +125,7 @@ def average_precision_11pt(
     predictions: (image id, bbox, score); truths: (image id, bbox).
     None means undefined (no truth, no predictions).
     """
-    if not 0.0 < iou_gate <= 1.0:
-        raise ValueError("iou_gate must be in (0, 1]")
+    check_number("iou_gate", iou_gate, IOU_GATE_RANGE)
     matches = greedy_match(predictions, truths, bbox_iou, iou_gate)
     return ap_from_matches(matches, len(truths))
 
@@ -208,8 +209,7 @@ def segment_ap(
 
     Rule-based timelines carry no confidence; callers score those 1.0.
     """
-    if not 0.0 < iou_gate <= 1.0:
-        raise ValueError("iou_gate must be in (0, 1]")
+    check_number("iou_gate", iou_gate, IOU_GATE_RANGE)
     labels = sorted(
         {seg.label for seg, _ in predictions} | {seg.label for seg in truths}
     )

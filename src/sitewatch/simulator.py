@@ -21,18 +21,11 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Iterator, Sequence
 
 from .activity import ActionClassifier, ActionState, ActivityConfig, build_timeline
-from .config import (
-    activity_from_dict,
-    activity_to_dict,
-    expect_keys,
-    load_json_config,
-    region_from_dict,
-    region_to_dict,
-)
+from .config import CODECS, expect_keys, fields_from_dict, fields_to_dict, load_json_config
 from .errors import ConfigError
 from .geometry import (
     BBox,
@@ -53,6 +46,9 @@ from .streams import (
     PerceptionFrame,
     Pose,
     StreamHeader,
+    check_fields,
+    check_number,
+    number_field,
     serialize_stream,
     write_stream,
 )
@@ -86,12 +82,15 @@ _BBOX_MARGIN = 30.0
 class DurationRange:
     """Uniform duration range in seconds; min == max pins the value."""
 
-    min_s: float
-    max_s: float
+    min_s: float = number_field(interval="(0, inf)")
+    max_s: float = number_field(interval="(0, inf)")
 
     def __post_init__(self):
-        if not 0 < self.min_s <= self.max_s:
-            raise ValueError("duration range needs 0 < min_s <= max_s")
+        check_fields(self)
+        if self.min_s > self.max_s:
+            raise ValueError("duration range needs min_s <= max_s")
+        object.__setattr__(self, "min_s", float(self.min_s))
+        object.__setattr__(self, "max_s", float(self.max_s))
 
     def sample(self, rng: random.Random) -> float:
         return rng.uniform(self.min_s, self.max_s)
@@ -99,15 +98,12 @@ class DurationRange:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    keypoint_sigma: float = 0.0
-    drop_prob: float = 0.0
-    bbox_sigma: float = 0.0
+    keypoint_sigma: float = number_field(0.0, "[0, inf)")
+    drop_prob: float = number_field(0.0, "[0, 1)")
+    bbox_sigma: float = number_field(0.0, "[0, inf)")
 
     def __post_init__(self):
-        if self.keypoint_sigma < 0 or self.bbox_sigma < 0:
-            raise ValueError("noise sigmas must be non-negative")
-        if not 0.0 <= self.drop_prob < 1.0:
-            raise ValueError("drop_prob must be in [0, 1)")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -116,18 +112,19 @@ class MachineSpec:
 
     cls: MachineClass
     bbox: BBox
-    entry_frame: int = 0
-    exit_frame: int | None = None  # inclusive; None runs to the end
+    entry_frame: int = number_field(0, "[0, inf)", integer=True)
+    # Inclusive; None runs to the end.
+    exit_frame: int | None = number_field(None, "[0, inf)", integer=True)
 
     def __post_init__(self):
         object.__setattr__(self, "cls", MachineClass(self.cls))
-        if self.entry_frame < 0:
-            raise ValueError("entry_frame must be non-negative")
+        check_fields(self)
         if self.exit_frame is not None and self.exit_frame < self.entry_frame:
             raise ValueError("exit_frame must not precede entry_frame")
         x, y, w, h = self.bbox
-        if w <= 0 or h <= 0:
-            raise ValueError("machine bbox must have positive size")
+        for i, value in enumerate((x, y, w, h)):
+            check_number(f"machine bbox[{i}]", value, "[0, inf)" if i < 2 else "(0, inf)")
+        object.__setattr__(self, "bbox", (float(x), float(y), float(w), float(h)))
 
     def present(self, frame: int) -> bool:
         if frame < self.entry_frame:
@@ -135,40 +132,46 @@ class MachineSpec:
         return self.exit_frame is None or frame <= self.exit_frame
 
 
+def machine_to_dict(spec: MachineSpec) -> dict:
+    return {
+        "class": spec.cls.value,
+        "bbox": list(spec.bbox),
+        "entry_frame": spec.entry_frame,
+        "exit_frame": spec.exit_frame,
+    }
+
+
+def machine_from_dict(obj: dict) -> MachineSpec:
+    keys = {"class", "bbox", "entry_frame", "exit_frame"}
+    expect_keys(obj, keys, {"class", "bbox"}, "scenario machine")
+    return MachineSpec(obj["class"], obj["bbox"], obj.get("entry_frame", 0), obj.get("exit_frame"))
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    seed: int = 0
-    fps: float = 25.0
-    duration_s: float = 120.0
-    width: int = 1920
-    height: int = 1080
+    seed: int = number_field(0, integer=True)
+    fps: float = number_field(25.0, "(0, inf)")
+    duration_s: float = number_field(120.0, "(0, inf)")
+    width: int = number_field(1920, "[200, inf)", integer=True)
+    height: int = number_field(1080, "[200, inf)", integer=True)
     source: str = "sim"
     regions: tuple[Region, ...] = DEFAULT_REGIONS
     dig: DurationRange = DurationRange(6.0, 12.0)
     swing: DurationRange = DurationRange(2.4, 5.0)
     dump: DurationRange = DurationRange(5.0, 10.0)
     idle: DurationRange | None = None
-    idle_prob: float = 0.0
-    cycle_count: int | None = None  # exact cycles; overrides duration_s
-    swing_speed: float = 12.0  # carbody px/frame during swings
-    arm_step: float = 8.0  # bucket px/frame while digging or dumping
+    idle_prob: float = number_field(0.0, "[0, 1]")
+    cycle_count: int | None = number_field(None, "[1, inf)", integer=True)  # overrides duration_s
+    swing_speed: float = number_field(12.0, "(0, inf)")  # carbody px/frame during swings
+    arm_step: float = number_field(8.0, "(0, inf)")  # bucket px/frame while digging or dumping
     machines: tuple[MachineSpec, ...] = ()
     noise: NoiseModel = NoiseModel()
     activity: ActivityConfig = field(default_factory=ActivityConfig)
 
     def __post_init__(self):
-        if self.fps <= 0:
-            raise ValueError("fps must be positive")
-        if self.cycle_count is None and self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
-        if self.cycle_count is not None and self.cycle_count < 1:
-            raise ValueError("cycle_count must be at least 1")
-        if self.width < 200 or self.height < 200:
-            raise ValueError("image extent too small for the scene layout")
-        if self.swing_speed <= 0 or self.arm_step <= 0:
-            raise ValueError("speeds must be positive")
-        if not 0.0 <= self.idle_prob <= 1.0:
-            raise ValueError("idle_prob must be in [0, 1]")
+        check_fields(self)
+        if not isinstance(self.source, str):
+            raise ValueError("source must be a string")
         if self.idle_prob > 0 and self.idle is None:
             raise ValueError("idle_prob needs an idle duration range")
         regions = tuple(self.regions)
@@ -181,7 +184,7 @@ class ScenarioConfig:
         object.__setattr__(self, "machines", machines)
         for spec in machines:
             x, y, w, h = spec.bbox
-            if x < 0 or y < 0 or x + w > self.width or y + h > self.height:
+            if x + w > self.width or y + h > self.height:
                 raise ValueError("machine bbox exceeds the image extent")
 
 
@@ -210,39 +213,9 @@ class GroundTruth:
                 }
                 for c in self.cycles
             ],
-            "machines": [
-                {
-                    "class": m.cls.value,
-                    "bbox": list(m.bbox),
-                    "entry_frame": m.entry_frame,
-                    "exit_frame": m.exit_frame,
-                }
-                for m in self.machines
-            ],
+            "machines": [machine_to_dict(m) for m in self.machines],
             "alert_frames": self.alert_frames,
         }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "GroundTruth":
-        return cls(
-            fps=float(obj["fps"]),
-            states=[ActionState(s) for s in obj["states"]],
-            phases=[(ActionState(s), a, b) for s, a, b in obj["phases"]],
-            cycles=[
-                CycleRecord(c["start_frame"], c["end_frame"], c["duration_s"])
-                for c in obj["cycles"]
-            ],
-            machines=tuple(
-                MachineSpec(
-                    MachineClass(m["class"]),
-                    tuple(m["bbox"]),
-                    m["entry_frame"],
-                    m["exit_frame"],
-                )
-                for m in obj["machines"]
-            ),
-            alert_frames=list(obj["alert_frames"]),
-        )
 
 
 def _frame_of(t_s: float, fps: float) -> int:
@@ -646,14 +619,16 @@ def inject_collision(
         cls = MachineClass(cls)
     except ValueError:
         raise ValueError(f"unknown machine class {cls!r}") from None
-    n = len(sim.frames)
-    if not 0 <= first_frame <= last_frame < n:
+    check_number("first_frame", first_frame, "[0, inf)", integer=True)
+    check_number("last_frame", last_frame, "[0, inf)", integer=True)
+    if not first_frame <= last_frame < len(sim.frames):
         raise ValueError("frame range outside the stream")
     config = sim.config
-    if at is None:
-        at = _anchors(config)[0]
+    x, y = _anchors(config)[0] if at is None else at
+    check_number("at x", x)
+    check_number("at y", y)
     w, h = (60.0, 160.0) if cls is MachineClass.HUMAN else (160.0, 120.0)
-    bbox = _clamp_bbox((at[0] - w / 2.0, at[1] - h, w, h), config.width, config.height)
+    bbox = _clamp_bbox((x - w / 2.0, y - h, w, h), config.width, config.height)
     spec = MachineSpec(cls, bbox, first_frame, last_frame)
     return Simulation(config, sim.header, sim._plan, sim._injected + (spec,))
 
@@ -676,96 +651,57 @@ def productivity_benchmark_config(seed: int = 0) -> ScenarioConfig:
     )
 
 
-_SCENARIO_KEYS = {
-    "seed",
-    "fps",
-    "duration_s",
-    "width",
-    "height",
-    "source",
-    "regions",
-    "phases",
-    "idle_prob",
-    "cycle_count",
-    "swing_speed",
-    "arm_step",
-    "machines",
-    "noise",
-    "activity",
-    "inject",
-}
-_PHASE_KEYS = {"dig", "swing", "dump", "idle"}
-
-
-def _range_from_value(value, what: str) -> DurationRange:
-    if not isinstance(value, list) or len(value) != 2:
-        raise ConfigError(f"{what} must be a [min_s, max_s] pair")
-    try:
-        return DurationRange(float(value[0]), float(value[1]))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid {what}: {exc}") from None
-
-
-def scenario_from_dict(obj: dict) -> tuple[ScenarioConfig, dict | None]:
-    """Build a ScenarioConfig from JSON; returns (config, inject spec)."""
-    expect_keys(obj, _SCENARIO_KEYS, set(), "scenario config")
-    kwargs: dict = {}
-    for key in (
+# JSON key -> ScenarioConfig field, which is named after the key.
+_SCENARIO_FIELDS = {
+    path: path.rpartition(".")[2]
+    for path in (
         "seed",
         "fps",
         "duration_s",
         "width",
         "height",
         "source",
+        "regions",
+        "phases.dig",
+        "phases.swing",
+        "phases.dump",
+        "phases.idle",
         "idle_prob",
-        "cycle_count",
         "swing_speed",
         "arm_step",
-    ):
-        if key in obj:
-            kwargs[key] = obj[key]
-    if "regions" in obj:
-        kwargs["regions"] = tuple(region_from_dict(r) for r in obj["regions"])
-    if "phases" in obj:
-        phases = obj["phases"]
-        expect_keys(phases, _PHASE_KEYS, set(), "scenario phases")
-        for name in _PHASE_KEYS:
-            if name in phases:
-                kwargs[name] = _range_from_value(phases[name], f"phase range {name!r}")
-    if "machines" in obj:
-        specs = []
-        for m in obj["machines"]:
-            expect_keys(
-                m,
-                {"class", "bbox", "entry_frame", "exit_frame"},
-                {"class", "bbox"},
-                "scenario machine",
-            )
-            try:
-                specs.append(
-                    MachineSpec(
-                        m["class"],
-                        tuple(float(v) for v in m["bbox"]),
-                        m.get("entry_frame", 0),
-                        m.get("exit_frame"),
-                    )
-                )
-            except (ValueError, TypeError) as exc:
-                raise ConfigError(f"invalid scenario machine: {exc}") from None
-        kwargs["machines"] = tuple(specs)
-    if "noise" in obj:
-        expect_keys(
-            obj["noise"],
-            {"keypoint_sigma", "drop_prob", "bbox_sigma"},
-            set(),
-            "scenario noise",
-        )
-        try:
-            kwargs["noise"] = NoiseModel(**obj["noise"])
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"invalid scenario noise: {exc}") from None
-    if "activity" in obj:
-        kwargs["activity"] = activity_from_dict(obj["activity"])
+        "machines",
+        "noise",
+        "activity",
+        "cycle_count",
+    )
+}
+
+
+def _noise_from_dict(obj: dict) -> NoiseModel:
+    expect_keys(obj, {f.name for f in fields(NoiseModel)}, set(), "scenario noise")
+    return NoiseModel(**obj)
+
+
+_PHASE_CODEC = (lambda pair: DurationRange(*pair), lambda r: [r.min_s, r.max_s])
+_SCENARIO_CODECS = {
+    **CODECS,
+    "dig": _PHASE_CODEC,
+    "swing": _PHASE_CODEC,
+    "dump": _PHASE_CODEC,
+    "idle": _PHASE_CODEC,
+    "machines": (
+        lambda specs: tuple(map(machine_from_dict, specs)),
+        lambda specs: [machine_to_dict(m) for m in specs],
+    ),
+    "noise": (_noise_from_dict, asdict),
+}
+
+
+def scenario_from_dict(obj: dict) -> tuple[ScenarioConfig, dict | None]:
+    """Build a ScenarioConfig from JSON; returns (config, inject spec)."""
+    kwargs = fields_from_dict(
+        obj, _SCENARIO_FIELDS, _SCENARIO_CODECS, "scenario config", extra={"inject"}
+    )
     inject = obj.get("inject")
     if inject is not None:
         expect_keys(
@@ -781,44 +717,7 @@ def scenario_from_dict(obj: dict) -> tuple[ScenarioConfig, dict | None]:
 
 
 def scenario_to_dict(config: ScenarioConfig) -> dict:
-    phases = {
-        "dig": [config.dig.min_s, config.dig.max_s],
-        "swing": [config.swing.min_s, config.swing.max_s],
-        "dump": [config.dump.min_s, config.dump.max_s],
-    }
-    if config.idle is not None:
-        phases["idle"] = [config.idle.min_s, config.idle.max_s]
-    out = {
-        "seed": config.seed,
-        "fps": config.fps,
-        "duration_s": config.duration_s,
-        "width": config.width,
-        "height": config.height,
-        "source": config.source,
-        "regions": [region_to_dict(r) for r in config.regions],
-        "phases": phases,
-        "idle_prob": config.idle_prob,
-        "swing_speed": config.swing_speed,
-        "arm_step": config.arm_step,
-        "machines": [
-            {
-                "class": m.cls.value,
-                "bbox": list(m.bbox),
-                "entry_frame": m.entry_frame,
-                "exit_frame": m.exit_frame,
-            }
-            for m in config.machines
-        ],
-        "noise": {
-            "keypoint_sigma": config.noise.keypoint_sigma,
-            "drop_prob": config.noise.drop_prob,
-            "bbox_sigma": config.noise.bbox_sigma,
-        },
-        "activity": activity_to_dict(config.activity),
-    }
-    if config.cycle_count is not None:
-        out["cycle_count"] = config.cycle_count
-    return out
+    return fields_to_dict(config, _SCENARIO_FIELDS, _SCENARIO_CODECS)
 
 
 def load_scenario(path) -> tuple[ScenarioConfig, dict | None]:
@@ -827,16 +726,14 @@ def load_scenario(path) -> tuple[ScenarioConfig, dict | None]:
 
 def run_scenario(config: ScenarioConfig, inject: dict | None = None) -> Simulation:
     """Generate and optionally apply the inject spec from a config file."""
-    sim = generate(config)
+    try:
+        sim = generate(config)
+    except ValueError as exc:
+        raise ConfigError(f"invalid scenario config: {exc}") from None
     if inject is not None:
-        at = inject.get("at")
         try:
             sim = inject_collision(
-                sim,
-                int(inject["first_frame"]),
-                int(inject["last_frame"]),
-                inject["class"],
-                tuple(at) if at is not None else None,
+                sim, inject["first_frame"], inject["last_frame"], inject["class"], inject.get("at")
             )
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"invalid inject spec: {exc}") from None

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -128,8 +128,8 @@ class StreamHeader:
 def is_number(v) -> bool:
     """A finite int or float that fits in a float; never a bool.
 
-    The one number check for stream values and site and activity config
-    values.
+    The one number check for stream values, and the base of
+    ``check_number`` for config values.
     """
     # Exact type checks: JSON values are always plain int/float/bool, and
     # bool must not pass as a number.  JSON integers have no size limit,
@@ -144,6 +144,42 @@ def is_number(v) -> bool:
     except OverflowError:
         return False
     return True
+
+
+def check_number(name: str, value, interval: str | None = None, integer: bool = False) -> None:
+    """Raise ValueError unless ``value`` meets one number rule.
+
+    The rule every number a user writes in a config meets: ``is_number``,
+    an exact int when ``integer``, and inside ``interval`` when given,
+    written as "[lo, hi)" with each end closed or open and "inf" for no
+    bound.  The message states the rule.
+    """
+    ok = is_number(value) and (not integer or type(value) is int)
+    if ok and interval is not None:
+        lo, hi = map(float, interval[1:-1].split(", "))
+        ok = (lo < value if interval[0] == "(" else lo <= value) and (
+            value < hi if interval[-1] == ")" else value <= hi
+        )
+    if not ok:
+        rule = "an integer" if integer else "a number"
+        raise ValueError(f"{name} must be {rule}" + (f" in {interval}" if interval else ""))
+
+
+def number_field(default=MISSING, interval: str | None = None, integer: bool = False):
+    """A dataclass field whose value ``check_fields`` holds to ``check_number``."""
+    return field(default=default, metadata={"number": (interval, integer)})
+
+
+def check_fields(obj) -> None:
+    """Check every ``number_field`` of a dataclass instance.
+
+    A field whose default is None may also hold None.
+    """
+    for f in fields(obj):
+        rule = f.metadata.get("number")
+        value = getattr(obj, f.name)
+        if rule is not None and not (value is None and f.default is None):
+            check_number(f.name, value, *rule)
 
 
 def _is_int(v) -> bool:

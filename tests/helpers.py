@@ -8,13 +8,23 @@ with them beyond the problem statement.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from pathlib import Path
 
-from sitewatch.activity import ActivityConfig
+from sitewatch.activity import ActionState, ActivityConfig
+from sitewatch.config import SiteConfig, site_config_to_dict
 from sitewatch.geometry import Region, RegionLabel
-from sitewatch.simulator import DurationRange, MachineSpec, NoiseModel, ScenarioConfig
+from sitewatch.productivity import CycleRecord
+from sitewatch.simulator import (
+    DurationRange,
+    GroundTruth,
+    MachineSpec,
+    NoiseModel,
+    ScenarioConfig,
+    machine_from_dict,
+)
 from sitewatch.streams import (
     KEYPOINT_NAMES,
     Detection,
@@ -624,4 +634,28 @@ def random_scenario(seed: int, noise: NoiseModel | None = None,
         idle=DurationRange(3.5, 5.0),
         idle_prob=0.4,
         **common,
+    )
+
+
+# --- config and truth files ---------------------------------------------------
+
+
+def write_site_config(cfg: SiteConfig, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(site_config_to_dict(cfg), fh, indent=2)
+        fh.write("\n")
+
+
+def ground_truth_from_dict(obj: dict) -> GroundTruth:
+    """Read back what ``GroundTruth.to_dict`` wrote."""
+    return GroundTruth(
+        fps=float(obj["fps"]),
+        states=[ActionState(s) for s in obj["states"]],
+        phases=[(ActionState(s), a, b) for s, a, b in obj["phases"]],
+        cycles=[
+            CycleRecord(c["start_frame"], c["end_frame"], c["duration_s"])
+            for c in obj["cycles"]
+        ],
+        machines=tuple(machine_from_dict(m) for m in obj["machines"]),
+        alert_frames=list(obj["alert_frames"]),
     )

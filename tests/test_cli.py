@@ -164,7 +164,7 @@ def test_report_single_override_keeps_the_other_value(
     assert float(table["productivity_m3_per_hr"]) == pytest.approx(want, rel=1e-9)
 
 
-@pytest.mark.parametrize("bad", ["abc", "", "-2"])
+@pytest.mark.parametrize("bad", ["abc", "", "-2", "inf", "nan", "1e400"])
 def test_report_rejects_a_bad_number_in_report_csv(tmp_path, capsys, bad):
     out, _ = _analysis_with_bucket(tmp_path, 0.6, 1.01)
     lines = (out / "report.csv").read_text().splitlines()
@@ -184,6 +184,18 @@ def test_report_rejects_a_negative_override(tmp_path, capsys):
     redo = tmp_path / "redo"
     assert main(["report", "-i", str(out), "-o", str(redo), "--volume", "-1"]) == 2
     assert capsys.readouterr().err.startswith("error: --volume")
+    assert not redo.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--volume", "inf"), ("--volume", "1e400"), ("--full-rate", "nan")]
+)
+def test_report_rejects_a_non_finite_override(tmp_path, capsys, flag, value):
+    out, _ = _analysis_with_bucket(tmp_path, 0.6, 1.01)
+    capsys.readouterr()
+    redo = tmp_path / "redo"
+    assert main(["report", "-i", str(out), "-o", str(redo), flag, value]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag} must be a number in [0, inf)")
     assert not redo.exists()
 
 
@@ -222,6 +234,64 @@ def test_analyze_does_not_mutate_inputs(tmp_path):
     digest = hashlib.sha256(stream.read_bytes()).hexdigest()
     main(["analyze", "-c", str(site), "-i", str(stream), "-o", str(tmp_path / "a")])
     assert hashlib.sha256(stream.read_bytes()).hexdigest() == digest
+
+
+def _set(path, value):
+    """A change to a scenario dict that puts ``value`` at the key ``path``."""
+
+    def change(obj):
+        *parents, last = path
+        for key in parents:
+            obj = obj[key]
+        obj[last] = value
+
+    return change
+
+
+def _with_machine(**fields):
+    machine = {"class": "truck", "bbox": [1332.0, 400.0, 160.0, 120.0], **fields}
+    return lambda obj: obj.update(machines=[machine])
+
+
+def _with_inject(**fields):
+    inject = {"class": "human", "first_frame": 2, "last_frame": 10, **fields}
+    return lambda obj: obj.update(inject=inject)
+
+
+# Values that once passed the scenario checks.  Each is written with the
+# JSON literals NaN, Infinity and true where it holds one.
+BAD_SCENARIO_VALUES = {
+    "width fractional": _set(("width",), 1920.5),
+    "source a number": _set(("source",), 5),
+    "swing_speed NaN": _set(("swing_speed",), math.nan),
+    "fps NaN": _set(("fps",), math.nan),
+    "fps Infinity": _set(("fps",), math.inf),
+    "cycle_count fractional": _set(("cycle_count",), 2.5),
+    "cycle_count true": _set(("cycle_count",), True),
+    "seed fractional": _set(("seed",), 1.5),
+    "seed true": _set(("seed",), True),
+    "keypoint_sigma NaN": _set(("noise", "keypoint_sigma"), math.nan),
+    "bbox_sigma Infinity": _set(("noise", "bbox_sigma"), math.inf),
+    "phase Infinity": _set(("phases", "dig"), [1, math.inf]),
+    "phase true": _set(("phases", "dig"), [True, 1]),
+    "machine bbox NaN": _with_machine(bbox=[1332.0, math.nan, 160.0, 120.0]),
+    "machine entry_frame fractional": _with_machine(entry_frame=1.5),
+    "machine entry_frame true": _with_machine(entry_frame=True),
+    "inject at NaN": _with_inject(at=[math.nan, 400]),
+    "inject first_frame fractional": _with_inject(first_frame=2.7),
+    "inject first_frame true": _with_inject(first_frame=True),
+    "inject first_frame a string": _with_inject(first_frame="3"),
+}
+
+
+@pytest.mark.parametrize("change", BAD_SCENARIO_VALUES.values(), ids=BAD_SCENARIO_VALUES)
+def test_simulate_rejects_a_bad_scenario_value_before_writing(tmp_path, capsys, change):
+    obj = json.loads(_scenario_file(tmp_path, cycle_count=1).read_text())
+    change(obj)
+    scenario = _write_json(tmp_path / "bad.json", obj)
+    assert main(["simulate", "-c", str(scenario), "-o", str(tmp_path / "sim")]) == 2
+    assert capsys.readouterr().err.startswith("error: invalid ")
+    assert not (tmp_path / "sim" / "stream.jsonl").exists()
 
 
 def test_simulate_is_deterministic_across_processes(tmp_path):
@@ -508,6 +578,30 @@ def test_eval_action_scores_timeline_segments(tmp_path, capsys):
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines == ["digging,1.0", "dumping,1.0", "mAP,1.0"]
+
+
+@pytest.mark.parametrize("gate", ["nan", "inf", "2", "-1", "0"])
+@pytest.mark.parametrize("task", ["det", "action"])
+def test_eval_rejects_an_iou_gate_outside_its_range(tmp_path, capsys, task, gate):
+    if task == "det":
+        truth = _det_stream(tmp_path / "truth.jsonl", [[("truck", (0.0, 0.0, 10.0, 10.0), 0.9)]])
+    else:
+        truth = _segments_csv(tmp_path / "truth.csv", [("digging", 0.0, 8.0)])
+    argv = ["eval", "--task", task, "--pred", str(truth), "--truth", str(truth)]
+    assert main([*argv, "--iou-gate", gate]) == 2
+    assert capsys.readouterr().err == "error: --iou-gate must be a number in (0, 1]\n"
+
+
+@pytest.mark.parametrize(
+    "row, column",
+    [(("digging", 0.0, 8.0, "nan"), "score"), (("digging", 0.0, "inf", 1.0), "end_s")],
+)
+def test_eval_action_rejects_a_non_finite_segment_value(tmp_path, capsys, row, column):
+    truth = _segments_csv(tmp_path / "truth.csv", [("digging", 0.0, 8.0)])
+    pred = _segments_csv(tmp_path / "pred.csv", [row], with_score=True)
+    code = main(["eval", "--task", "action", "--pred", str(pred), "--truth", str(truth)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(f"error: line 2: {pred}: {column} must be")
 
 
 def test_eval_action_rejects_missing_columns(tmp_path, capsys):

@@ -13,12 +13,11 @@ from sitewatch.config import (
     region_to_dict,
     site_config_from_dict,
     site_config_to_dict,
-    write_site_config,
 )
 from sitewatch.errors import ConfigError
 from sitewatch.geometry import Region, RegionLabel
 
-from helpers import DIG_SQUARE, DUMP_SQUARE, REGIONS, readme_section
+from helpers import DIG_SQUARE, DUMP_SQUARE, REGIONS, readme_section, write_site_config
 
 
 def _minimal_dict():

@@ -9,7 +9,7 @@ import re
 import tracemalloc
 
 from sitewatch.activity import ActionState
-from sitewatch.config import SiteConfig, write_site_config
+from sitewatch.config import SiteConfig
 from sitewatch.pipeline import StreamAnalyzer, analyze_stream
 from sitewatch.simulator import generate, inject_collision
 from sitewatch.streams import (
@@ -29,6 +29,7 @@ from helpers import (
     make_pose,
     random_scenario,
     readme_section,
+    write_site_config,
 )
 
 

@@ -13,7 +13,6 @@ from sitewatch.pipeline import analyze_stream
 from sitewatch.simulator import (
     DEFAULT_REGIONS,
     DurationRange,
-    GroundTruth,
     MachineSpec,
     NoiseModel,
     ScenarioConfig,
@@ -26,7 +25,7 @@ from sitewatch.simulator import (
 )
 from sitewatch.streams import MachineClass, parse_stream
 
-from helpers import frame_states, random_scenario, runs_of
+from helpers import frame_states, ground_truth_from_dict, random_scenario, runs_of
 
 D = ActionState.DIGGING
 SA = ActionState.SWING_AFTER_DIGGING
@@ -252,7 +251,7 @@ def test_run_scenario_applies_inject_spec():
 
 def test_ground_truth_dict_round_trip():
     sim = generate(_small(seed=4))
-    restored = GroundTruth.from_dict(sim.truth.to_dict())
+    restored = ground_truth_from_dict(sim.truth.to_dict())
     assert restored == sim.truth
 
 

@@ -18,9 +18,9 @@ from pathlib import Path
 import pytest
 
 import sitewatch
-from sitewatch.config import SiteConfig, write_site_config
+from sitewatch.config import SiteConfig
 
-from helpers import REGIONS, watch_stream
+from helpers import REGIONS, watch_stream, write_site_config
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
