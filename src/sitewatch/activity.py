@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
+from .errors import StreamFormatError
 from .geometry import (
     BBox,
     LocationLabel,
@@ -26,7 +27,7 @@ from .geometry import (
     bbox_diagonal,
     classify_location,
 )
-from .streams import ARM, BODY, Pose, check_fields, number_field
+from .streams import ARM, BODY, Pose, check_fields, number_field, parse_number
 
 
 class ActionState(str, Enum):
@@ -370,18 +371,25 @@ def write_timeline_csv(timeline: ActionTimeline, path) -> None:
 
 
 def read_timeline_csv(path, fps: float) -> ActionTimeline:
-    """Rebuild a timeline from its CSV export."""
+    """Rebuild a timeline from its CSV export.
+
+    A row with an unknown state or a time that is not a finite number
+    in [0, inf) is a StreamFormatError naming its line.
+    """
     segments: list[TimelineSegment] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or set(TIMELINE_CSV_FIELDS) - set(reader.fieldnames):
             raise ValueError("timeline CSV missing required columns")
-        for row in reader:
-            state = ActionState(row["state"])
-            start_s = float(row["start_s"])
-            end_s = float(row["end_s"])
-            if end_s <= start_s:
-                raise ValueError("timeline CSV segment must end after it starts")
+        for line_no, row in enumerate(reader, start=2):
+            try:
+                state = ActionState(row["state"])
+                start_s = parse_number("start_s", row["start_s"], "[0, inf)")
+                end_s = parse_number("end_s", row["end_s"], "[0, inf)")
+                if end_s <= start_s:
+                    raise ValueError("timeline CSV segment must end after it starts")
+            except ValueError as exc:
+                raise StreamFormatError(f"{path}: {exc}", line_no) from None
             start_f = round(start_s * fps)
             end_f = round(end_s * fps) - 1
             segments.append(

@@ -38,7 +38,7 @@ from .productivity import (
     write_report_csv,
 )
 from .simulator import load_scenario, run_scenario
-from .streams import check_number, read_stream
+from .streams import check_number, parse_number, read_stream
 
 
 def _fmt(value) -> str:
@@ -155,6 +155,7 @@ def cmd_report(args) -> int:
     try:
         with open(meta_path, "r", encoding="utf-8") as fh:
             meta = json.load(fh)
+        check_number("fps", meta["fps"], "(0, inf)")
         fps = float(meta["fps"])
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid meta.json: {exc}") from None
@@ -205,17 +206,11 @@ def _report_params_from_csv(path) -> dict[str, float]:
             for line_no, row in enumerate(csv.DictReader(fh), start=2):
                 name = row.get("field")
                 if name in params:
+                    interval, _ = _BUCKET_RULES[name]
                     try:
-                        value = float(row["value"])
-                    except (TypeError, ValueError):
-                        value = None  # which check_number rejects
-                    try:
-                        check_number(name, value, *_BUCKET_RULES[name])
+                        params[name] = parse_number(name, row["value"], interval)
                     except ValueError as exc:
-                        raise StreamFormatError(
-                            f"{path}: {exc}, got {row['value']!r}", line_no
-                        ) from None
-                    params[name] = value
+                        raise StreamFormatError(f"{path}: {exc}", line_no) from None
     return params
 
 

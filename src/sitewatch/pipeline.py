@@ -9,15 +9,13 @@ reporting.
 
 from __future__ import annotations
 
-import io
-import marshal
-import os
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
-from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn
+from typing import BinaryIO, Callable, Iterable, Iterator
 
+from . import forking
 from .activity import ActionClassifier, ActionState, ActionTimeline, build_timeline
 from .config import SiteConfig
 from .productivity import CycleRecord, ProductivityReport, build_report, detect_cycles
@@ -190,14 +188,13 @@ def frame_source(fh, strict: bool = True) -> Iterator[StreamParser | _ReceivedFr
 
     Yields an iterable of PerceptionFrames with the stream's ``header``,
     parsed on entry, and ``skipped`` once iterated to the end.  Where
-    ``fh`` has ``read1`` (a binary file or pipe), fork is available,
-    more than one CPU is usable and this process runs no other thread, a
-    forked child parses the frames while this process consumes them;
-    otherwise they are parsed in this process.  The child sends every
-    frame parsed so far before each read of ``fh``, any of which may
-    block on a live input, so a frame is never held back waiting for
-    the next.  On leaving the block the child is reaped, and killed
-    first if its end message was not read.
+    ``fh`` has ``read1`` (a binary file or pipe) and
+    ``forking.can_fork()``, a forked child parses the frames while this
+    process consumes them; otherwise they are parsed in this process.
+    The child sends every frame parsed so far before each read of
+    ``fh``, any of which may block on a live input, so a frame is never
+    held back waiting for the next.  On leaving the block the child is
+    reaped, and killed first if its end message was not read.
     """
     if not hasattr(fh, "read1"):
         yield parse_stream(fh, strict=strict)
@@ -205,49 +202,16 @@ def frame_source(fh, strict: bool = True) -> Iterator[StreamParser | _ReceivedFr
     lines = _ChunkedLines(fh)
     # The header is parsed here, so its errors need no forwarding.
     parser = parse_stream(lines, strict=strict)
-    if not _parse_in_child():
+    if not forking.can_fork():
         yield parser
         return
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        _parser_child(parser, lines, read_fd, write_fd)
-    os.close(write_fd)
+    child = forking.start_child(partial(_send_frames, parser, lines))
     # The lines read past the header are the child's to parse; dropping
     # them here saves about 34 KiB for the whole run.
     header = parser.header
     del parser, lines
-    with open(read_fd, "rb") as pipe:
-        frames = _ReceivedFrames(header, pipe)
-        try:
-            yield frames
-        finally:
-            if not frames.ended:
-                # Left early: the child may be blocked reading a live
-                # input that never ends.  signal is imported only here,
-                # since importing it costs every analyze about 0.13 MB
-                # of RSS.
-                import signal
-
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _parse_in_child() -> bool:
-    # A forked child has only the forking thread, and a lock another
-    # thread held at the fork stays held in the child.
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return False
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return cpus > 1
+    with child:
+        yield _ReceivedFrames(header, child)
 
 
 # The most frame_source reads at once.  On a file the child sends about
@@ -296,75 +260,34 @@ class _ChunkedLines:
             yield [last]
 
 
-# Every message on the pipe is a 4-byte little-endian length, then that
-# many bytes of marshal data: a list of frame tuples (index, ((class
-# value, bbox, score), ...), poses), or, last, one (skipped, pickled
-# exception or None) end tuple.
-_LENGTH_BYTES = 4
+def _send_frames(parser: StreamParser, lines: _ChunkedLines, send) -> int:
+    """In the child: send ``parser``'s frames in batches; returns skipped.
 
-
-def _parser_child(
-    parser: StreamParser, lines: _ChunkedLines, read_fd: int, write_fd: int
-) -> NoReturn:
-    """Send ``parser``'s frames down the pipe in batches; never returns.
-
-    Leaves through os._exit, so no atexit hook runs and no inherited
-    buffer (stdio, an open output file) is flushed a second time.
+    Each batch is a list of frame tuples (index, ((class value, bbox,
+    score), ...), poses).  The frames before an error line are sent
+    before the error.
     """
-    status = 1
+    batch: list[tuple] = []
+
+    def send_batch() -> None:
+        if batch:
+            send(batch)
+            batch.clear()
+
+    lines.before_read = send_batch
+    append = batch.append
     try:
-        os.close(read_fd)
-        # Whoever reads the caller's stdout or stderr to its end must not
-        # wait on this process.
-        null = os.open(os.devnull, os.O_WRONLY)
-        for fd in (1, 2):
-            if fd != write_fd:
-                os.dup2(null, fd)
-        out = io.BufferedWriter(io.FileIO(write_fd, "wb"))
-        dumps = marshal.dumps
-        batch: list[tuple] = []
-
-        def send(msg: bytes) -> None:
-            out.write(len(msg).to_bytes(_LENGTH_BYTES, "little"))
-            out.write(msg)
-            out.flush()
-
-        def send_batch() -> None:
-            if batch:
-                send(dumps(batch))
-                batch.clear()
-
-        lines.before_read = send_batch
-        append = batch.append
-        try:
-            for frame in parser:
-                append(
-                    (
-                        frame.index,
-                        tuple([(d.cls.value, d.bbox, d.score) for d in frame.detections]),
-                        frame.poses,
-                    )
+        for frame in parser:
+            append(
+                (
+                    frame.index,
+                    tuple([(d.cls.value, d.bbox, d.score) for d in frame.detections]),
+                    frame.poses,
                 )
-            end = (parser.skipped, None)
-        except Exception as exc:
-            end = (None, _pickled(exc))
-        # The frames before an error line are sent before the error.
-        send_batch()
-        send(dumps(end))
-        status = 0
+            )
     finally:
-        os._exit(status)
-
-
-def _pickled(exc: Exception) -> bytes:
-    # pickle is imported only on this error path (and where the parent
-    # unpickles): importing it costs every analyze about 0.2 MB of RSS.
-    import pickle
-
-    try:
-        return pickle.dumps(exc)
-    except Exception:
-        return pickle.dumps(RuntimeError(f"stream parser failed: {exc!r}"))
+        send_batch()
+    return parser.skipped
 
 
 class _ReceivedFrames:
@@ -374,41 +297,21 @@ class _ReceivedFrames:
     ChildProcessError if the child ends without its end message.
     """
 
-    def __init__(self, header: StreamHeader, pipe: BinaryIO):
+    def __init__(self, header: StreamHeader, child: forking.Child):
         self.header = header
         self.skipped = 0
-        self.ended = False  # the end message was read
-        self._pipe = pipe
-
-    def _message(self):
-        read = self._pipe.read
-        head = read(_LENGTH_BYTES)
-        size = int.from_bytes(head, "little")
-        body = read(size)
-        if len(head) != _LENGTH_BYTES or len(body) != size:
-            raise ChildProcessError("stream parser process ended before its stream did")
-        return marshal.loads(body)
+        self._child = child
 
     def __iter__(self) -> Iterator[PerceptionFrame]:
-        message = self._message
         new = tuple.__new__
         classes = {c.value: c for c in MachineClass}
-        while True:
-            msg = message()
-            if type(msg) is not list:
-                break
+        for batch in self._child:
             yield from [
                 PerceptionFrame(
                     index,
                     tuple([new(Detection, (classes[c], bbox, s)) for c, bbox, s in detections]),
                     poses,
                 )
-                for index, detections, poses in msg
+                for index, detections, poses in batch
             ]
-        self.ended = True
-        skipped, error = msg
-        if error is not None:
-            import pickle
-
-            raise pickle.loads(error)
-        self.skipped = skipped
+        self.skipped = self._child.result

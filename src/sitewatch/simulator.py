@@ -24,6 +24,7 @@ import random
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Iterator, Sequence
 
+from . import forking
 from .activity import ActionClassifier, ActionState, ActivityConfig, build_timeline
 from .config import CODECS, expect_keys, fields_from_dict, fields_to_dict, load_json_config
 from .errors import ConfigError
@@ -72,6 +73,10 @@ _FACING_DUMP = (30.0, -20.0)
 # Bucket oscillation waveform while digging or dumping: one arm_step of
 # vertical travel per frame, so the arm never reads as still.
 _OSC_WAVE = (0, 1, 2, 1, 0, -1, -2, -1)
+
+# The most frames one scenario may generate: 10 million, about 4.6 days
+# at 25 fps.  A larger script would run simulate for hours.
+MAX_FRAMES = 10_000_000
 
 _EXCAVATOR_SCORE = 0.97
 _MACHINE_SCORE = 0.9
@@ -395,8 +400,7 @@ def _confident_pose(points: dict[str, Point]) -> Pose:
 
 
 def _pose_bbox(points: dict[str, Point], config: ScenarioConfig) -> BBox:
-    xs = [p[0] for p in points.values()]
-    ys = [p[1] for p in points.values()]
+    xs, ys = zip(*points.values())
     x1 = max(0.0, min(xs) - _BBOX_MARGIN)
     y1 = max(0.0, min(ys) - _BBOX_MARGIN)
     x2 = min(float(config.width), max(xs) + _BBOX_MARGIN)
@@ -421,16 +425,78 @@ class _Plan:
     rng_state: tuple  # the RNG right after the phase script was drawn
 
 
+def _geometry(config: ScenarioConfig, plan: _Plan) -> Iterator[tuple[Point, dict, BBox]]:
+    """Per frame: the pre-noise probe, pose points and pose bbox."""
+    body_center = _body_center(config)
+    for offset, probe in _excavator_path(plan.phases, plan.scripted_frames, config):
+        points = _pose_points(body_center, offset, probe)
+        yield probe, points, _pose_bbox(points, config)
+
+
+def _truth_pass(
+    config: ScenarioConfig, plan: _Plan, roster: tuple[MachineSpec, ...]
+) -> tuple[list[tuple[str, int, int]], list[int]]:
+    """The ideal-perception replay's runs and the alert oracle's frames.
+
+    Draws no randomness.  Runs are ``(state value, first, last)``, plain
+    data that marshal can send.  The alert oracle locates the excavator
+    (track 0) by its pre-noise probe, where the bucket joint sits, and
+    each roster machine by its bbox bottom-center while present.
+    """
+    regions = config.regions
+    replay = ActionClassifier(regions, config.fps, config.activity)
+    roster_locations = [locate_point(bbox_bottom_center(m.bbox), regions) for m in roster]
+    alert_frames: list[int] = []
+    for f, (probe, points, bbox) in enumerate(_geometry(config, plan)):
+        replay.step(f, _confident_pose(points), bbox)
+        if roster:
+            locations = {0: locate_point(probe, regions)}
+            classes = {0: MachineClass.EXCAVATOR}
+            for i, spec in enumerate(roster):
+                if spec.present(f):
+                    locations[i + 1] = roster_locations[i]
+                    classes[i + 1] = spec.cls
+            if check_collision(locations, classes, f, config.fps):
+                alert_frames.append(f)
+    return [(state.value, first, last) for state, first, last in replay.runs], alert_frames
+
+
+def _ground_truth(
+    config: ScenarioConfig,
+    plan: _Plan,
+    roster: tuple[MachineSpec, ...],
+    runs: list[tuple[str, int, int]],
+    alert_frames: list[int],
+) -> GroundTruth:
+    """The GroundTruth of a truth pass's runs and alert frames."""
+    runs = [(ActionState(state), first, last) for state, first, last in runs]
+    # Cycles follow the same ideal-perception convention as states: a
+    # scripted dig cut down to a stub by the stream end is below the
+    # rule resolution and closes no cycle.
+    cycles = detect_cycles(build_timeline(runs, config.fps, config.activity.min_segment_s))
+    return GroundTruth(
+        fps=config.fps,
+        states=[state for state, first, last in runs for _ in range(first, last + 1)],
+        phases=list(plan.phases),
+        cycles=cycles,
+        machines=roster,
+        alert_frames=alert_frames,
+    )
+
+
 class Simulation:
     """A generated stream bundled with its ground truth.
 
     No frame is stored.  ``frames`` is a sized view whose every iteration
     builds the frames afresh from the RNG state saved right after the
     phase script was drawn, so each pass yields the same frames and
-    ``write`` holds one frame at a time.  The ideal-perception replay and
-    the alert oracle step in the same pass: the first pass that reaches
-    the end fills ``truth``, and reading ``truth`` before any such pass
-    runs one and discards its frames.
+    ``write`` holds one frame at a time.  ``truth`` comes from a pass of
+    its own, the ideal-perception replay and the alert oracle, which
+    draws no randomness and builds no frame; it runs once, when
+    ``truth`` is first read or by ``write``.  ``write`` runs it in a
+    forked child while this process writes the stream, where
+    ``forking.can_fork()``; otherwise both passes run here, with the
+    same bytes written.
     """
 
     def __init__(
@@ -453,62 +519,55 @@ class Simulation:
     @property
     def truth(self) -> GroundTruth:
         if self._truth is None:
-            for _ in self._run():
-                pass
+            roster = self._roster()
+            runs, alert_frames = _truth_pass(self.config, self._plan, roster)
+            self._truth = _ground_truth(self.config, self._plan, roster, runs, alert_frames)
         return self._truth
 
     def lines(self) -> Iterator[str]:
         return serialize_stream(self.header, self.frames)
 
     def write(self, stream_path, truth_path=None) -> None:
-        write_stream(stream_path, self.header, self.frames)
+        if truth_path is None or self._truth is not None or not forking.can_fork():
+            write_stream(stream_path, self.header, self.frames)
+        else:
+            config, plan, roster = self.config, self._plan, self._roster()
+            with forking.start_child(lambda send: _truth_pass(config, plan, roster)) as child:
+                write_stream(stream_path, self.header, self.frames)
+                runs, alert_frames = child.wait()
+            self._truth = _ground_truth(config, plan, roster, runs, alert_frames)
         if truth_path is not None:
             with open(truth_path, "w", encoding="utf-8") as fh:
                 json.dump(self.truth.to_dict(), fh)
                 fh.write("\n")
 
-    def _run(self) -> Iterator[PerceptionFrame]:
-        """One pass: build each frame, step the truth, yield the frame."""
+    def _roster(self) -> tuple[MachineSpec, ...]:
+        """The configured machines, each with its exit frame, then the injected."""
+        last_frame = self._plan.n_frames - 1
+        return tuple(
+            replace(m, exit_frame=last_frame if m.exit_frame is None else m.exit_frame)
+            for m in self.config.machines
+        ) + self._injected
+
+    def _stream_pass(self) -> Iterator[PerceptionFrame]:
+        """The stream pass: build each frame, drawing its noise, and yield it."""
         config = self.config
-        plan = self._plan
         noise = config.noise
         rng = random.Random()
-        rng.setstate(plan.rng_state)
-        body_center = _body_center(config)
-        replay = ActionClassifier(config.regions, config.fps, config.activity)
-        # The alert oracle locates the excavator (track 0) by its
-        # pre-noise probe, where the bucket joint sits, and each roster
-        # machine by its bbox bottom-center while present.
-        last_frame = plan.n_frames - 1
-        roster = tuple(
-            replace(m, exit_frame=last_frame if m.exit_frame is None else m.exit_frame)
-            for m in config.machines
-        ) + self._injected
-        roster_locations = [
-            locate_point(bbox_bottom_center(m.bbox), config.regions) for m in roster
-        ]
-        alert_frames: list[int] = []
-        path = _excavator_path(plan.phases, plan.scripted_frames, config)
-        for f, (offset, probe) in enumerate(path):
-            points = _pose_points(body_center, offset, probe)
-            bbox = _pose_bbox(points, config)
-            true_pose = _confident_pose(points)
-            replay.step(f, true_pose, bbox)
-
+        rng.setstate(self._plan.rng_state)
+        for f, (_, points, bbox) in enumerate(_geometry(config, self._plan)):
             detections: list[Detection] = []
             poses: list[tuple[int, Pose]] = []
             dropped = noise.drop_prob > 0 and rng.random() < noise.drop_prob
             if not dropped:
-                emitted_pose = true_pose
                 if noise.keypoint_sigma > 0:
-                    emitted = {
+                    points = {
                         name: (
                             x + rng.gauss(0.0, noise.keypoint_sigma),
                             y + rng.gauss(0.0, noise.keypoint_sigma),
                         )
                         for name, (x, y) in points.items()
                     }
-                    emitted_pose = _confident_pose(emitted)
                 out_bbox = bbox
                 if noise.bbox_sigma > 0:
                     out_bbox = _clamp_bbox(
@@ -524,7 +583,7 @@ class Simulation:
                 detections.append(
                     Detection(MachineClass.EXCAVATOR, out_bbox, _EXCAVATOR_SCORE)
                 )
-                poses.append((0, emitted_pose))
+                poses.append((0, _confident_pose(points)))
             for spec in config.machines:
                 if not spec.present(f):
                     continue
@@ -534,37 +593,7 @@ class Simulation:
             for spec in self._injected:
                 if spec.present(f):
                     detections.append(Detection(spec.cls, spec.bbox, _MACHINE_SCORE))
-
-            if roster:
-                locations = {0: locate_point(probe, config.regions)}
-                classes = {0: MachineClass.EXCAVATOR}
-                for i, spec in enumerate(roster):
-                    if spec.present(f):
-                        locations[i + 1] = roster_locations[i]
-                        classes[i + 1] = spec.cls
-                if check_collision(locations, classes, f, config.fps):
-                    alert_frames.append(f)
             yield PerceptionFrame(f, tuple(detections), tuple(poses))
-
-        if self._truth is None:
-            # Cycles follow the same ideal-perception convention as
-            # states: a scripted dig cut down to a stub by the stream end
-            # is below the rule resolution and closes no cycle.
-            cycles = detect_cycles(
-                build_timeline(replay.runs, config.fps, config.activity.min_segment_s)
-            )
-            self._truth = GroundTruth(
-                fps=config.fps,
-                states=[
-                    state
-                    for state, first, last in replay.runs
-                    for _ in range(first, last + 1)
-                ],
-                phases=list(plan.phases),
-                cycles=cycles,
-                machines=roster,
-                alert_frames=alert_frames,
-            )
 
 
 class SimulatedFrames:
@@ -579,18 +608,24 @@ class SimulatedFrames:
         return self._sim._plan.n_frames
 
     def __iter__(self) -> Iterator[PerceptionFrame]:
-        return self._sim._run()
+        return self._sim._stream_pass()
 
 
 def generate(config: ScenarioConfig) -> Simulation:
     """Script a stream plus ground truth; same config -> same bytes.
 
     Only the phase script is drawn here; the frames and the truth come
-    from passes over ``frames`` (see Simulation).
+    from passes of their own (see Simulation).  A script longer than
+    MAX_FRAMES frames is a ConfigError.
     """
     rng = random.Random(config.seed)
     script = _build_script(config, rng)
     phases, n_frames, scripted_frames = _phase_frames(script, config)
+    if n_frames > MAX_FRAMES:
+        raise ConfigError(
+            f"invalid scenario config: the stream would be {n_frames} frames,"
+            f" more than the {MAX_FRAMES} a scenario may have"
+        )
     for spec in config.machines:
         if spec.entry_frame >= n_frames:
             raise ValueError("machine entry_frame is beyond the stream end")

@@ -165,6 +165,22 @@ def check_number(name: str, value, interval: str | None = None, integer: bool = 
         raise ValueError(f"{name} must be {rule}" + (f" in {interval}" if interval else ""))
 
 
+def parse_number(name: str, text, interval: str | None = None) -> float:
+    """``text``, a CSV cell say, as a float that meets ``check_number``.
+
+    Raises ValueError with check_number's message and the text.
+    """
+    try:
+        value = float(text)
+    except (TypeError, ValueError):
+        value = None  # which check_number rejects
+    try:
+        check_number(name, value, interval)
+    except ValueError as exc:
+        raise ValueError(f"{exc}, got {text!r}") from None
+    return value
+
+
 def number_field(default=MISSING, interval: str | None = None, integer: bool = False):
     """A dataclass field whose value ``check_fields`` holds to ``check_number``."""
     return field(default=default, metadata={"number": (interval, integer)})

@@ -19,6 +19,7 @@ from sitewatch.activity import (
     step_state,
     write_timeline_csv,
 )
+from sitewatch.errors import StreamFormatError
 from sitewatch.geometry import LocationLabel
 
 from helpers import (
@@ -458,6 +459,19 @@ def test_timeline_csv_rejects_gaps(tmp_path):
     )
     with pytest.raises(ValueError):
         read_timeline_csv(path, 25.0)
+
+
+@pytest.mark.parametrize(
+    "start, end", [("0.0", "inf"), ("0.0", "nan"), ("-1.0", "1.0"), ("nan", "1.0"), ("x", "1.0")]
+)
+def test_timeline_csv_names_the_line_of_a_bad_time(tmp_path, start, end):
+    path = tmp_path / "timeline.csv"
+    path.write_text(
+        f"segment,start_s,end_s,state\n0,0.0,1.0,digging\n1,{start},{end},dumping\n"
+    )
+    with pytest.raises(StreamFormatError) as info:
+        read_timeline_csv(path, 25.0)
+    assert info.value.line_no == 3
 
 
 def test_activity_config_validation():

@@ -11,6 +11,7 @@ import threading
 
 import pytest
 
+import sitewatch.forking as forking
 import sitewatch.pipeline as pipeline
 from sitewatch.config import SiteConfig
 from sitewatch.errors import StreamFormatError
@@ -35,12 +36,12 @@ _H = '{"fps":25.0,"width":1920,"height":1080,"source":"cam"}'
 _FIELDS = [f.name for f in dataclasses.fields(AnalysisResult)]
 
 
-_parse_in_child = pipeline._parse_in_child
+can_fork = forking.can_fork
 
 
 @pytest.fixture(autouse=True)
 def forked(monkeypatch):
-    monkeypatch.setattr(pipeline, "_parse_in_child", lambda: True)
+    monkeypatch.setattr(forking, "can_fork", lambda: True)
 
 
 def _no_child_left():
@@ -244,7 +245,7 @@ def _analyze_without_fork(path, monkeypatch):
     def no_fork():
         raise AssertionError("forked")
 
-    monkeypatch.setattr(pipeline, "_parse_in_child", _parse_in_child)
+    monkeypatch.setattr(forking, "can_fork", can_fork)
     monkeypatch.setattr(os, "fork", no_fork)
     return analyze_file(path, SiteConfig(regions=REGIONS))
 

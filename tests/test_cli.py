@@ -196,6 +196,38 @@ def test_report_rejects_a_non_finite_override(tmp_path, capsys, flag, value):
     redo = tmp_path / "redo"
     assert main(["report", "-i", str(out), "-o", str(redo), flag, value]) == 2
     assert capsys.readouterr().err.startswith(f"error: {flag} must be a number in [0, inf)")
+
+
+@pytest.mark.parametrize("fps", ["0", "-25", "NaN", "Infinity", "true", '"25"'])
+def test_report_rejects_a_bad_fps_in_meta_json(tmp_path, capsys, fps):
+    out, _ = _analysis_with_bucket(tmp_path, 0.6, 1.01)
+    meta = json.loads((out / "meta.json").read_text())
+    (out / "meta.json").write_text(json.dumps(dict(meta, fps="FPS")).replace('"FPS"', fps))
+    capsys.readouterr()
+    redo = tmp_path / "redo"
+    assert main(["report", "-i", str(out), "-o", str(redo)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: invalid meta.json: fps must be a number in (0, inf)\n"
+    assert not redo.exists()
+
+
+@pytest.mark.parametrize("column, bad", [("end_s", "inf"), ("end_s", "nan"), ("start_s", "-1.0")])
+def test_report_names_the_timeline_csv_line_of_a_bad_time(tmp_path, capsys, column, bad):
+    out, _ = _analysis_with_bucket(tmp_path, 0.6, 1.01)
+    path = out / "timeline.csv"
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    rows[1][column] = bad
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    capsys.readouterr()
+    redo = tmp_path / "redo"
+    assert main(["report", "-i", str(out), "-o", str(redo)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: line 3: {path}: {column} must be a number in [0, inf), got {bad!r}\n"
+    assert not redo.exists()
     assert not redo.exists()
 
 
@@ -737,8 +769,8 @@ def test_analyze_prints_each_summary_once_with_buffered_stdout(tmp_path):
     src = Path(sitewatch.__file__).resolve().parents[1]
     # The forked path is forced, as where more than one CPU is usable.
     script = (
-        "import sys, sitewatch.pipeline as p, sitewatch.cli as cli;"
-        "p._parse_in_child = lambda: True;"
+        "import sys, sitewatch.forking as f, sitewatch.cli as cli;"
+        "f.can_fork = lambda: True;"
         "sys.exit(cli.main(sys.argv[1:]))"
     )
     argv = ["analyze", "-c", str(site), *inputs, "-o", str(tmp_path / "out")]

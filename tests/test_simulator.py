@@ -1,6 +1,7 @@
 """Generated streams: determinism, ground-truth fidelity, injection, memory."""
 
 import json
+import time
 import tracemalloc
 
 import pytest
@@ -12,6 +13,7 @@ from sitewatch.errors import ConfigError
 from sitewatch.pipeline import analyze_stream
 from sitewatch.simulator import (
     DEFAULT_REGIONS,
+    MAX_FRAMES,
     DurationRange,
     MachineSpec,
     NoiseModel,
@@ -247,6 +249,26 @@ def test_run_scenario_applies_inject_spec():
     assert injected.truth.alert_frames == list(range(dig_first, dig_last + 1))
     with pytest.raises(ConfigError):
         run_scenario(config, {"class": "loader", "first_frame": 0, "last_frame": 10**7})
+
+
+def test_max_frames_bounds_the_stream_length():
+    at_cap = ScenarioConfig(duration_s=MAX_FRAMES / 25.0)
+    assert len(generate(at_cap).frames) == MAX_FRAMES
+    with pytest.raises(ConfigError, match=f"would be {MAX_FRAMES + 1} frames"):
+        generate(ScenarioConfig(duration_s=(MAX_FRAMES + 1) / 25.0))
+
+
+@pytest.mark.parametrize("length", [{"duration_s": 1.5e6}, {"cycle_count": 2}])
+def test_a_scenario_of_billions_of_frames_fails_fast(tmp_path, capsys, length):
+    config = ScenarioConfig(fps=2500.0, dig=DurationRange(1.0, 1.5e6), **length)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario_to_dict(config)))
+    start = time.monotonic()
+    assert main(["simulate", "-c", str(path), "-o", str(tmp_path / "sim")]) == 2
+    assert time.monotonic() - start < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid scenario config: the stream would be ")
+    assert not (tmp_path / "sim").exists()
 
 
 def test_ground_truth_dict_round_trip():

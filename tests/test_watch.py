@@ -1,7 +1,7 @@
 """watch on the forked frame source, run as its own process.
 
 Each test starts ``watch`` through a small script that forces the parse
-child on or off with the ``pipeline._parse_in_child`` patch, so it runs
+child on or off with the ``forking.can_fork`` patch, so it runs
 even where only one CPU is usable.  Every wait has a timeout.
 """
 
@@ -31,10 +31,11 @@ TIMEOUT_S = 60
 _SCRIPT = """
 import os, sys
 import sitewatch.cli as cli
+import sitewatch.forking as forking
 import sitewatch.pipeline as pipeline
 
 fork = os.environ["WATCH_FORK"] == "1"
-pipeline._parse_in_child = lambda: fork
+forking.can_fork = lambda: fork
 log = os.environ.get("WATCH_FORK_LOG")
 if log:
     real_fork = os.fork
