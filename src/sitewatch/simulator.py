@@ -229,20 +229,45 @@ def _frame_of(t_s: float, fps: float) -> int:
     return int(t_s * fps + 0.5)
 
 
+def _check_frame_count(seconds: float, fps: float, at_least: bool = False) -> None:
+    """Raise ConfigError if ``seconds`` of stream pass MAX_FRAMES frames.
+
+    Counts as _frame_of does, but compares before truncating, so no
+    product too large for int() can overflow.
+    """
+    frames = seconds * fps + 0.5
+    if frames >= MAX_FRAMES + 1:
+        count = str(int(frames)) if math.isfinite(frames) else "over 1e308"
+        raise ConfigError(
+            f"invalid scenario config: the stream would be {'at least ' * at_least}"
+            f"{count} frames, more than the {MAX_FRAMES} a scenario may have"
+        )
+
+
 def _build_script(config: ScenarioConfig, rng: random.Random) -> list[tuple[ActionState, float]]:
-    """Phase list as (state, duration_s); starts with a lead-in swing."""
+    """Phase list as (state, duration_s); starts with a lead-in swing.
+
+    A script longer than MAX_FRAMES frames is a ConfigError, raised as
+    soon as the phases drawn so far pass it.
+    """
     script: list[tuple[ActionState, float]] = [
         (ActionState.SWING_FOR_DIGGING, config.swing.sample(rng))
     ]
+    total = script[0][1]  # summed in _phase_frames' order, so the counts agree
     if config.cycle_count is not None:
         for _ in range(config.cycle_count):
             script.append((ActionState.DIGGING, config.dig.sample(rng)))
             script.append((ActionState.SWING_AFTER_DIGGING, config.swing.sample(rng)))
             script.append((ActionState.DUMPING, config.dump.sample(rng)))
             script.append((ActionState.SWING_FOR_DIGGING, config.swing.sample(rng)))
+            for _, duration in script[-4:]:
+                total += duration
+            _check_frame_count(total, config.fps, at_least=True)
         script.append((ActionState.DIGGING, config.dig.sample(rng)))
+        _check_frame_count(total + script[-1][1], config.fps)
         return script
-    total = script[0][1]
+    # The stream is cut at duration_s, so it is exactly that long.
+    _check_frame_count(config.duration_s, config.fps)
     while total < config.duration_s:
         for state, rng_range in (
             (ActionState.DIGGING, config.dig),
@@ -433,32 +458,52 @@ def _geometry(config: ScenarioConfig, plan: _Plan) -> Iterator[tuple[Point, dict
         yield probe, points, _pose_bbox(points, config)
 
 
+class _TruthReplay:
+    """The ideal-perception replay and the alert oracle, stepped per frame.
+
+    Draws no randomness.  The alert oracle locates the excavator (track
+    0) by its pre-noise probe, where the bucket joint sits, and each
+    roster machine by its bbox bottom-center while present.
+    """
+
+    def __init__(self, config: ScenarioConfig, roster: tuple[MachineSpec, ...]):
+        self._regions = config.regions
+        self._fps = config.fps
+        self._replay = ActionClassifier(config.regions, config.fps, config.activity)
+        self.roster = roster
+        self._roster_locations = [
+            locate_point(bbox_bottom_center(m.bbox), config.regions) for m in roster
+        ]
+        self._alert_frames: list[int] = []
+
+    def step(self, f: int, probe: Point, pose: Pose, bbox: BBox) -> None:
+        """Step frame ``f`` of the geometry, ``pose`` being its true pose."""
+        self._replay.step(f, pose, bbox)
+        if self.roster:
+            locations = {0: locate_point(probe, self._regions)}
+            classes = {0: MachineClass.EXCAVATOR}
+            for i, spec in enumerate(self.roster):
+                if spec.present(f):
+                    locations[i + 1] = self._roster_locations[i]
+                    classes[i + 1] = spec.cls
+            if check_collision(locations, classes, f, self._fps):
+                self._alert_frames.append(f)
+
+    def result(self) -> tuple[list[tuple[str, int, int]], list[int]]:
+        """The replay's ``(state value, first, last)`` runs and the alert
+        frames: plain data that marshal can send."""
+        runs = [(state.value, first, last) for state, first, last in self._replay.runs]
+        return runs, self._alert_frames
+
+
 def _truth_pass(
     config: ScenarioConfig, plan: _Plan, roster: tuple[MachineSpec, ...]
 ) -> tuple[list[tuple[str, int, int]], list[int]]:
-    """The ideal-perception replay's runs and the alert oracle's frames.
-
-    Draws no randomness.  Runs are ``(state value, first, last)``, plain
-    data that marshal can send.  The alert oracle locates the excavator
-    (track 0) by its pre-noise probe, where the bucket joint sits, and
-    each roster machine by its bbox bottom-center while present.
-    """
-    regions = config.regions
-    replay = ActionClassifier(regions, config.fps, config.activity)
-    roster_locations = [locate_point(bbox_bottom_center(m.bbox), regions) for m in roster]
-    alert_frames: list[int] = []
+    """A _TruthReplay over the whole geometry, with no frame built."""
+    truth = _TruthReplay(config, roster)
     for f, (probe, points, bbox) in enumerate(_geometry(config, plan)):
-        replay.step(f, _confident_pose(points), bbox)
-        if roster:
-            locations = {0: locate_point(probe, regions)}
-            classes = {0: MachineClass.EXCAVATOR}
-            for i, spec in enumerate(roster):
-                if spec.present(f):
-                    locations[i + 1] = roster_locations[i]
-                    classes[i + 1] = spec.cls
-            if check_collision(locations, classes, f, config.fps):
-                alert_frames.append(f)
-    return [(state.value, first, last) for state, first, last in replay.runs], alert_frames
+        truth.step(f, probe, _confident_pose(points), bbox)
+    return truth.result()
 
 
 def _ground_truth(
@@ -490,13 +535,14 @@ class Simulation:
     No frame is stored.  ``frames`` is a sized view whose every iteration
     builds the frames afresh from the RNG state saved right after the
     phase script was drawn, so each pass yields the same frames and
-    ``write`` holds one frame at a time.  ``truth`` comes from a pass of
-    its own, the ideal-perception replay and the alert oracle, which
-    draws no randomness and builds no frame; it runs once, when
-    ``truth`` is first read or by ``write``.  ``write`` runs it in a
-    forked child while this process writes the stream, where
-    ``forking.can_fork()``; otherwise both passes run here, with the
-    same bytes written.
+    ``write`` holds one frame at a time.  ``truth`` comes from the
+    ideal-perception replay and the alert oracle, which draw no
+    randomness.  Until ``truth`` is set, a pass over the frames steps
+    them on the way and sets it when it reaches the end; reading
+    ``truth`` before any such pass runs them alone, building no frame.
+    ``write`` runs them in a forked child while this process writes
+    the stream, where ``forking.can_fork()``; otherwise the one pass
+    that writes the stream fills ``truth``, with the same bytes written.
     """
 
     def __init__(
@@ -533,7 +579,7 @@ class Simulation:
         else:
             config, plan, roster = self.config, self._plan, self._roster()
             with forking.start_child(lambda send: _truth_pass(config, plan, roster)) as child:
-                write_stream(stream_path, self.header, self.frames)
+                write_stream(stream_path, self.header, self._stream_pass(fill_truth=False))
                 runs, alert_frames = child.wait()
             self._truth = _ground_truth(config, plan, roster, runs, alert_frames)
         if truth_path is not None:
@@ -549,18 +595,30 @@ class Simulation:
             for m in self.config.machines
         ) + self._injected
 
-    def _stream_pass(self) -> Iterator[PerceptionFrame]:
-        """The stream pass: build each frame, drawing its noise, and yield it."""
+    def _stream_pass(self, fill_truth: bool = True) -> Iterator[PerceptionFrame]:
+        """The stream pass: build each frame, drawing its noise, and yield it.
+
+        With ``fill_truth``, while ``truth`` is unset, also step a
+        _TruthReplay on the same geometry and set ``truth`` at the end.
+        """
         config = self.config
         noise = config.noise
         rng = random.Random()
         rng.setstate(self._plan.rng_state)
-        for f, (_, points, bbox) in enumerate(_geometry(config, self._plan)):
+        truth = None
+        if fill_truth and self._truth is None:
+            truth = _TruthReplay(config, self._roster())
+        for f, (probe, points, bbox) in enumerate(_geometry(config, self._plan)):
+            pose = None  # the true pose, built only when something reads it
+            if truth is not None:
+                pose = _confident_pose(points)
+                truth.step(f, probe, pose, bbox)
             detections: list[Detection] = []
             poses: list[tuple[int, Pose]] = []
             dropped = noise.drop_prob > 0 and rng.random() < noise.drop_prob
             if not dropped:
                 if noise.keypoint_sigma > 0:
+                    pose = None
                     points = {
                         name: (
                             x + rng.gauss(0.0, noise.keypoint_sigma),
@@ -583,7 +641,7 @@ class Simulation:
                 detections.append(
                     Detection(MachineClass.EXCAVATOR, out_bbox, _EXCAVATOR_SCORE)
                 )
-                poses.append((0, _confident_pose(points)))
+                poses.append((0, _confident_pose(points) if pose is None else pose))
             for spec in config.machines:
                 if not spec.present(f):
                     continue
@@ -594,6 +652,8 @@ class Simulation:
                 if spec.present(f):
                     detections.append(Detection(spec.cls, spec.bbox, _MACHINE_SCORE))
             yield PerceptionFrame(f, tuple(detections), tuple(poses))
+        if truth is not None and self._truth is None:
+            self._truth = _ground_truth(config, self._plan, truth.roster, *truth.result())
 
 
 class SimulatedFrames:
@@ -615,17 +675,12 @@ def generate(config: ScenarioConfig) -> Simulation:
     """Script a stream plus ground truth; same config -> same bytes.
 
     Only the phase script is drawn here; the frames and the truth come
-    from passes of their own (see Simulation).  A script longer than
-    MAX_FRAMES frames is a ConfigError.
+    from passes over it (see Simulation).  A script longer than
+    MAX_FRAMES frames is a ConfigError, raised while it is drawn.
     """
     rng = random.Random(config.seed)
     script = _build_script(config, rng)
     phases, n_frames, scripted_frames = _phase_frames(script, config)
-    if n_frames > MAX_FRAMES:
-        raise ConfigError(
-            f"invalid scenario config: the stream would be {n_frames} frames,"
-            f" more than the {MAX_FRAMES} a scenario may have"
-        )
     for spec in config.machines:
         if spec.entry_frame >= n_frames:
             raise ValueError("machine entry_frame is beyond the stream end")

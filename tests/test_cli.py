@@ -196,6 +196,7 @@ def test_report_rejects_a_non_finite_override(tmp_path, capsys, flag, value):
     redo = tmp_path / "redo"
     assert main(["report", "-i", str(out), "-o", str(redo), flag, value]) == 2
     assert capsys.readouterr().err.startswith(f"error: {flag} must be a number in [0, inf)")
+    assert not redo.exists()
 
 
 @pytest.mark.parametrize("fps", ["0", "-25", "NaN", "Infinity", "true", '"25"'])
@@ -227,7 +228,6 @@ def test_report_names_the_timeline_csv_line_of_a_bad_time(tmp_path, capsys, colu
     assert main(["report", "-i", str(out), "-o", str(redo)]) == 3
     err = capsys.readouterr().err
     assert err == f"error: line 3: {path}: {column} must be a number in [0, inf), got {bad!r}\n"
-    assert not redo.exists()
     assert not redo.exists()
 
 

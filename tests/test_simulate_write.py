@@ -84,6 +84,42 @@ def test_write_without_a_truth_path_forks_nothing(tmp_path, monkeypatch):
     assert (tmp_path / "stream.jsonl").read_text() == "".join(f"{line}\n" for line in sim.lines())
 
 
+def _counting_geometry(monkeypatch):
+    passes = []
+    real_geometry = simulator._geometry
+
+    def geometry(config, plan):
+        passes.append(1)
+        return real_geometry(config, plan)
+
+    monkeypatch.setattr(simulator, "_geometry", geometry)
+    return passes
+
+
+def test_an_in_process_write_fills_the_truth_in_its_one_pass(tmp_path, monkeypatch):
+    want = _sim(2).truth
+    passes = _counting_geometry(monkeypatch)
+    monkeypatch.setattr(forking, "can_fork", lambda: False)
+    sim = _sim(2)
+    sim.write(tmp_path / "stream.jsonl", tmp_path / "ground_truth.json")
+    assert sim.truth == want
+    assert len(passes) == 1
+
+
+def test_a_finished_pass_over_the_lines_fills_the_truth(monkeypatch):
+    want = _sim(3).truth
+    passes = _counting_geometry(monkeypatch)
+    sim = _sim(3)
+    lines = sim.lines()
+    next(lines)
+    next(lines)
+    assert sim._truth is None, "an unfinished pass sets no truth"
+    for _ in lines:
+        pass
+    assert sim.truth == want
+    assert len(passes) == 1
+
+
 def _forced(monkeypatch, truth_pass):
     monkeypatch.setattr(forking, "can_fork", lambda: True)
     monkeypatch.setattr(simulator, "_truth_pass", truth_pass)

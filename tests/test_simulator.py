@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+from sitewatch import simulator
 from sitewatch.activity import ActionState, build_timeline
 from sitewatch.cli import main
 from sitewatch.config import SiteConfig
@@ -258,9 +259,32 @@ def test_max_frames_bounds_the_stream_length():
         generate(ScenarioConfig(duration_s=(MAX_FRAMES + 1) / 25.0))
 
 
-@pytest.mark.parametrize("length", [{"duration_s": 1.5e6}, {"cycle_count": 2}])
+def test_max_frames_bounds_a_cycle_count_script_exactly(monkeypatch):
+    config = productivity_benchmark_config()
+    n_frames = len(generate(config).frames)
+    monkeypatch.setattr(simulator, "MAX_FRAMES", n_frames)
+    assert len(generate(config).frames) == n_frames
+    monkeypatch.setattr(simulator, "MAX_FRAMES", n_frames - 1)
+    with pytest.raises(ConfigError, match=f"would be {n_frames} frames"):
+        generate(config)
+
+
+_LONG_DIG = {"fps": 2500.0, "dig": DurationRange(1.0, 1.5e6)}
+
+
+@pytest.mark.parametrize(
+    "length",
+    [
+        dict(_LONG_DIG, duration_s=1.5e6),
+        dict(_LONG_DIG, cycle_count=2),
+        dict(_LONG_DIG, cycle_count=1_000_000_000),
+        {"cycle_count": 1_000_000_000},
+        {"duration_s": 1e12},
+        {"duration_s": 1e300, "fps": 1e300},
+    ],
+)
 def test_a_scenario_of_billions_of_frames_fails_fast(tmp_path, capsys, length):
-    config = ScenarioConfig(fps=2500.0, dig=DurationRange(1.0, 1.5e6), **length)
+    config = ScenarioConfig(**length)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario_to_dict(config)))
     start = time.monotonic()
