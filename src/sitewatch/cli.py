@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
-from .activity import ActionTimeline, read_timeline_csv, write_timeline_csv
+from .activity import read_timeline_csv, write_timeline_csv
 from .config import SiteConfig, load_site_config
 from .errors import EXIT_IO, EXIT_OK, ConfigError, SitewatchError, StreamFormatError
 from .metrics import (
@@ -29,7 +29,7 @@ from .metrics import (
     keypoint_ap,
     segment_ap,
 )
-from .pipeline import AnalysisResult, StreamAnalyzer, analyze_file, frame_source
+from .pipeline import AnalysisResult, analyze_file, analyze_frames, frame_source
 from .productivity import (
     build_report,
     detect_cycles,
@@ -115,14 +115,8 @@ def _analyze_one(stream_path: Path, site, out: Path, strict: bool) -> None:
         alerts_part.unlink(missing_ok=True)
         raise
     os.replace(alerts_part, out / "alerts.csv")
-    fps = result.header.fps
-    timeline = (
-        result.timelines[result.primary_track]
-        if result.primary_track is not None
-        else ActionTimeline(fps, [])
-    )
-    write_timeline_csv(timeline, out / "timeline.csv")
-    write_cycles_csv(result.cycles, fps, out / "cycles.csv")
+    write_timeline_csv(result.timeline, out / "timeline.csv")
+    write_cycles_csv(result.cycles, result.header.fps, out / "cycles.csv")
     write_report_csv(result.report, out / "report.csv")
     _write_meta(result, out / "meta.json")
     print(f"analyzed: {stream_path}")
@@ -337,30 +331,25 @@ def cmd_watch(args) -> int:
     # skips) each line itself, as it does for analyze.
     stdin = getattr(sys.stdin, "buffer", sys.stdin)
     out = sys.stdout
+
+    def write(**record) -> None:
+        out.write(json.dumps(record, separators=(",", ":")) + "\n")
+
+    def print_alerts(alerts) -> None:
+        for a in alerts:
+            tracks = [[tid, cls.value] for tid, cls in a.tracks]
+            region = a.region.value
+            write(type="alert", frame=a.frame, offset_s=a.offset_s, region=region, tracks=tracks)
+        out.flush()
+
+    def print_pause(event) -> None:
+        kind, frame = event
+        write(type=kind, frame=frame)
+        out.flush()
+
     with frame_source(stdin, strict=not args.lenient) as frames:
-        analyzer = StreamAnalyzer(site, frames.header)
-        emitted_events = 0
-        for frame in frames:
-            alerts = analyzer.process_frame(frame)
-            for alert in alerts:
-                record = {
-                    "type": "alert",
-                    "frame": alert.frame,
-                    "offset_s": alert.offset_s,
-                    "region": alert.region.value,
-                    "tracks": [[tid, cls.value] for tid, cls in alert.tracks],
-                }
-                out.write(json.dumps(record, separators=(",", ":")) + "\n")
-            events = analyzer.monitor.pause_events
-            while emitted_events < len(events):
-                kind, at_frame = events[emitted_events]
-                out.write(
-                    json.dumps({"type": kind, "frame": at_frame}, separators=(",", ":"))
-                    + "\n"
-                )
-                emitted_events += 1
-            out.flush()
-    return 1 if analyzer.monitor.pause.active else EXIT_OK
+        result = analyze_frames(frames, site, print_alerts, print_pause)
+    return 1 if result.pause.active else EXIT_OK
 
 
 def _add_common_analysis_flags(sub) -> None:

@@ -41,6 +41,7 @@ class AnalysisResult:
     runs: dict[int, list[tuple[ActionState, int, int]]]  # (state, first, last)
     timelines: dict[int, ActionTimeline]
     primary_track: int | None
+    timeline: ActionTimeline  # the primary track's; empty without one
     cycles: list[CycleRecord]
     report: ProductivityReport
     alert_count: int
@@ -98,41 +99,28 @@ class StreamAnalyzer:
 
     def finish(self, skipped: int = 0) -> AnalysisResult:
         """Close the analysis; ``alert_count`` counts every alert."""
+        fps, site, classifiers = self.header.fps, self.site, self._classifiers
         timelines = {
-            track_id: build_timeline(
-                classifier.runs, self.header.fps, self.site.activity.min_segment_s
-            )
-            for track_id, classifier in self._classifiers.items()
+            tid: build_timeline(c.runs, fps, site.activity.min_segment_s)
+            for tid, c in classifiers.items()
         }
-        primary = None
-        if self._classifiers:
-            primary = max(
-                self._classifiers,
-                key=lambda tid: (self._classifiers[tid].observed_frames, -tid),
-            )
-        primary_timeline = (
-            timelines[primary]
-            if primary is not None
-            else ActionTimeline(self.header.fps, [])
+        primary = max(
+            classifiers, key=lambda tid: (classifiers[tid].observed_frames, -tid), default=None
         )
+        timeline = timelines.get(primary, ActionTimeline(fps, []))
         report = build_report(
-            primary_timeline,
-            self.site.bucket_volume_m3,
-            self.site.bucket_full_rate,
-            self.site.rate_denominator,
+            timeline, site.bucket_volume_m3, site.bucket_full_rate, site.rate_denominator
         )
         return AnalysisResult(
             header=self.header,
             frame_count=self.frame_count,
             skipped=skipped,
             track_classes=dict(self.track_classes),
-            runs={
-                tid: [tuple(run) for run in c.runs]
-                for tid, c in self._classifiers.items()
-            },
+            runs={tid: [tuple(run) for run in c.runs] for tid, c in classifiers.items()},
             timelines=timelines,
             primary_track=primary,
-            cycles=detect_cycles(primary_timeline),
+            timeline=timeline,
+            cycles=detect_cycles(timeline),
             report=report,
             alert_count=self.alert_count,
             pause=self.monitor.pause,
@@ -141,18 +129,29 @@ class StreamAnalyzer:
 
 
 AlertSink = Callable[[list[Alert]], object]
+PauseSink = Callable[[tuple[str, int]], object]
 
 
-def _analyze(frames, site: SiteConfig, on_alerts: AlertSink | None) -> AnalysisResult:
-    """Analyze a StreamParser, or the frames received from a forked one.
+def analyze_frames(
+    frames, site: SiteConfig, on_alerts: AlertSink | None = None, on_pause: PauseSink | None = None
+) -> AnalysisResult:
+    """Analyze a StreamParser, or the frames frame_source yields.
 
     Either gives ``header`` before and ``skipped`` after iteration.
+    Each frame's alerts go to ``on_alerts``; then a pause raised or
+    cleared on that frame goes to ``on_pause`` as its (kind, frame).
     """
     analyzer = StreamAnalyzer(site, frames.header)
+    events = analyzer.monitor.pause_events
+    sent = 0
     for frame in frames:
         found = analyzer.process_frame(frame)
         if found and on_alerts is not None:
             on_alerts(found)
+        # A step adds at most one pause event.
+        if on_pause is not None and len(events) > sent:
+            on_pause(events[sent])
+            sent += 1
     return analyzer.finish(skipped=frames.skipped)
 
 
@@ -167,7 +166,7 @@ def analyze_stream(
     Each frame's alerts are handed to ``on_alerts`` as they are found;
     none is kept, and ``result.alert_count`` counts them.
     """
-    return _analyze(parse_stream(lines, strict=strict), site, on_alerts)
+    return analyze_frames(parse_stream(lines, strict=strict), site, on_alerts)
 
 
 def analyze_file(
@@ -179,7 +178,7 @@ def analyze_file(
     while this process analyzes them.
     """
     with open(path, "rb") as fh, frame_source(fh, strict=strict) as frames:
-        return _analyze(frames, site, on_alerts)
+        return analyze_frames(frames, site, on_alerts)
 
 
 @contextmanager

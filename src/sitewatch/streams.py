@@ -314,7 +314,7 @@ def _parse_pose(obj, detections: Sequence[Detection], line_no: int) -> tuple[int
 def _parse_frame(obj, header: StreamHeader, prev_index: int, line_no: int) -> PerceptionFrame:
     _require_keys(obj, _FRAME_KEYS, "frame", line_no)
     index = obj["index"]
-    if not _is_int(index) or index < 0:
+    if not _is_int(index) or index < 0 or not is_number(index):
         raise StreamFormatError("frame index must be a non-negative integer", line_no)
     if index <= prev_index:
         raise StreamFormatError(

@@ -686,6 +686,23 @@ def test_watch_rejects_corrupt_input_strictly(tmp_path, capsys, monkeypatch):
     assert "line 4" in capsys.readouterr().err
 
 
+def test_watch_rejects_a_frame_index_beyond_float_range(tmp_path, capsys, monkeypatch):
+    site = _site_file(tmp_path, regions=REGIONS)
+    # The huge index is on an alerting frame, whose offset_s it would reach.
+    text = watch_stream({0, 1}, 2).replace('"index": 1,', '"index": 1' + "0" * 400 + ",")
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["watch", "-c", str(site)]) == 3
+    captured = capsys.readouterr()
+    assert "line 3" in captured.err
+    assert [json.loads(line)["type"] for line in captured.out.splitlines()] == [
+        "alert",
+        "pause_raised",
+    ]
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["watch", "--lenient", "-c", str(site)]) == 1
+    assert capsys.readouterr().out == captured.out
+
+
 def test_analyze_failing_mid_stream_leaves_no_alerts_csv(tmp_path, capsys):
     # Alert rows are written as frames are analyzed; a parse error after
     # some of them must not leave a partial alerts.csv behind.

@@ -10,7 +10,7 @@ import tracemalloc
 
 from sitewatch.activity import ActionState
 from sitewatch.config import SiteConfig
-from sitewatch.pipeline import StreamAnalyzer, analyze_stream
+from sitewatch.pipeline import StreamAnalyzer, analyze_frames, analyze_stream
 from sitewatch.simulator import generate, inject_collision
 from sitewatch.streams import (
     Detection,
@@ -29,6 +29,7 @@ from helpers import (
     make_pose,
     random_scenario,
     readme_section,
+    watch_stream,
     write_site_config,
 )
 
@@ -151,6 +152,25 @@ def test_alert_sink_gets_every_alert_and_none_are_kept():
     counted = analyze_stream(_parked_pair_lines(40), site)
     assert sunk.alert_count == counted.alert_count == 40
     assert not hasattr(sunk, "alerts")
+
+
+def test_each_pause_event_follows_its_frame_alerts():
+    site = SiteConfig(regions=REGIONS, clearance_window=3)
+    # The pause is raised on frame 0, cleared on 5 and raised on 8.
+    lines = watch_stream({0, 1, 2, 8, 9}, 12).splitlines()
+    log: list = []
+    result = analyze_frames(parse_stream(lines), site, on_alerts=log.extend, on_pause=log.append)
+    parser = parse_stream(lines)
+    analyzer = StreamAnalyzer(site, parser.header)
+    want: list = []
+    for frame in parser:
+        known = len(analyzer.monitor.pause_events)
+        want += analyzer.process_frame(frame)
+        want += analyzer.monitor.pause_events[known:]
+    assert log == want
+    paused = [entry for entry in log if isinstance(entry, tuple)]
+    assert paused == result.pause_events
+    assert paused == [("pause_raised", 0), ("pause_cleared", 5), ("pause_raised", 8)]
 
 
 def _sink_peak_bytes(n_frames, site):

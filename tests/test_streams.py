@@ -107,20 +107,30 @@ def _pose(x="10.0", conf="0.9"):
 
 
 @pytest.mark.parametrize(
-    "detections,poses",
+    "index,detections,poses",
     [
-        (_detection(bbox=f"[{_HUGE},20.0,200.0,100.0]"), "[]"),
-        (_detection(bbox=f"[10.0,20.0,-{_HUGE},100.0]"), "[]"),
-        (_detection(score=_HUGE), "[]"),
-        (_detection(cls='["excavator"]'), "[]"),
-        (_detection(cls='{"name":"excavator"}'), "[]"),
-        (_detection(), _pose(x=_HUGE)),
-        (_detection(), _pose(conf=_HUGE)),
+        (1, _detection(bbox=f"[{_HUGE},20.0,200.0,100.0]"), "[]"),
+        (1, _detection(bbox=f"[10.0,20.0,-{_HUGE},100.0]"), "[]"),
+        (1, _detection(score=_HUGE), "[]"),
+        (1, _detection(cls='["excavator"]'), "[]"),
+        (1, _detection(cls='{"name":"excavator"}'), "[]"),
+        (1, _detection(), _pose(x=_HUGE)),
+        (1, _detection(), _pose(conf=_HUGE)),
+        (_HUGE, _detection(), "[]"),
     ],
-    ids=["bbox_x", "bbox_w", "score", "class_list", "class_object", "keypoint_x", "keypoint_conf"],
+    ids=[
+        "bbox_x",
+        "bbox_w",
+        "score",
+        "class_list",
+        "class_object",
+        "keypoint_x",
+        "keypoint_conf",
+        "frame_index",
+    ],
 )
-def test_out_of_range_integers_and_unhashable_classes_are_format_errors(detections, poses):
-    bad = frame_line(1, detections, poses)
+def test_out_of_range_integers_and_unhashable_classes_are_format_errors(index, detections, poses):
+    bad = frame_line(index, detections, poses)
     with pytest.raises(StreamFormatError) as err:
         list(parse_stream([_H, frame_line(0), "", bad]))
     assert "line 4" in str(err.value)
