@@ -373,8 +373,9 @@ def write_timeline_csv(timeline: ActionTimeline, path) -> None:
 def read_timeline_csv(path, fps: float) -> ActionTimeline:
     """Rebuild a timeline from its CSV export.
 
-    A row with an unknown state or a time that is not a finite number
-    in [0, inf) is a StreamFormatError naming its line.
+    A row with an unknown state, a time that is not a finite number in
+    [0, inf), or frame bounds at ``fps`` that are not finite or cover no
+    frame is a StreamFormatError naming its line.
     """
     segments: list[TimelineSegment] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -388,10 +389,16 @@ def read_timeline_csv(path, fps: float) -> ActionTimeline:
                 end_s = parse_number("end_s", row["end_s"], "[0, inf)")
                 if end_s <= start_s:
                     raise ValueError("timeline CSV segment must end after it starts")
+                if not math.isfinite(end_s * fps):
+                    raise ValueError(
+                        f"timeline CSV segment has no finite frame bounds at fps {fps!r}"
+                    )
+                start_f = round(start_s * fps)
+                end_f = round(end_s * fps) - 1
+                if end_f < start_f:
+                    raise ValueError(f"timeline CSV segment covers no frame at fps {fps!r}")
             except ValueError as exc:
                 raise StreamFormatError(f"{path}: {exc}", line_no) from None
-            start_f = round(start_s * fps)
-            end_f = round(end_s * fps) - 1
             segments.append(
                 TimelineSegment(
                     state, start_f, end_f, start_s, end_s, end_s - start_s

@@ -31,8 +31,9 @@ from .metrics import (
 )
 from .pipeline import AnalysisResult, analyze_file, analyze_frames, frame_source
 from .productivity import (
+    RATE_DENOMINATORS,
+    ProductivityReport,
     build_report,
-    detect_cycles,
     report_rows,
     write_cycles_csv,
     write_report_csv,
@@ -62,7 +63,7 @@ def _alerts_csv_writer(fh):
     return write_alerts
 
 
-def _write_meta(result: AnalysisResult, path) -> None:
+def _write_meta(result: AnalysisResult, rate_denominator: str, path) -> None:
     meta = {
         "source": result.header.source,
         "fps": result.header.fps,
@@ -79,6 +80,7 @@ def _write_meta(result: AnalysisResult, path) -> None:
             "cleared_at": result.pause.cleared_at,
         },
         "pause_events": [[kind, frame] for kind, frame in result.pause_events],
+        "rate_denominator": rate_denominator,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2)
@@ -111,14 +113,15 @@ def _analyze_one(stream_path: Path, site, out: Path, strict: bool) -> None:
             result = analyze_file(
                 stream_path, site, strict=strict, on_alerts=_alerts_csv_writer(fh)
             )
+        _check_finite(result.report)
     except BaseException:
         alerts_part.unlink(missing_ok=True)
         raise
     os.replace(alerts_part, out / "alerts.csv")
     write_timeline_csv(result.timeline, out / "timeline.csv")
-    write_cycles_csv(result.cycles, result.header.fps, out / "cycles.csv")
+    write_cycles_csv(result.report.cycles, result.header.fps, out / "cycles.csv")
     write_report_csv(result.report, out / "report.csv")
-    _write_meta(result, out / "meta.json")
+    _write_meta(result, site.rate_denominator, out / "meta.json")
     print(f"analyzed: {stream_path}")
     print(f"frames: {result.frame_count} (skipped {result.skipped})")
     print(f"tracks: {len(result.track_classes)}")
@@ -151,6 +154,10 @@ def cmd_report(args) -> int:
             meta = json.load(fh)
         check_number("fps", meta["fps"], "(0, inf)")
         fps = float(meta["fps"])
+        # A meta.json written before the key existed means dig_span.
+        rate_denominator = meta.get("rate_denominator", "dig_span")
+        if rate_denominator not in RATE_DENOMINATORS:
+            raise ValueError(f"rate_denominator must be one of {RATE_DENOMINATORS}")
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid meta.json: {exc}") from None
     try:
@@ -168,15 +175,30 @@ def cmd_report(args) -> int:
             _check_option(flag, value, *_BUCKET_RULES[name])
             params[name] = value
     report = build_report(
-        timeline, params["bucket_volume_m3"], params["bucket_full_rate"], args.rate_denominator
+        timeline,
+        params["bucket_volume_m3"],
+        params["bucket_full_rate"],
+        args.rate_denominator or rate_denominator,
     )
+    _check_finite(report)
     out = Path(args.out) if args.out else src
     out.mkdir(parents=True, exist_ok=True)
     write_report_csv(report, out / "report.csv")
-    write_cycles_csv(detect_cycles(timeline), fps, out / "cycles.csv")
+    write_cycles_csv(report.cycles, fps, out / "cycles.csv")
     for key, value in report_rows(report):
         print(f"{key}: {value}" if value != "" else f"{key}:")
     return EXIT_OK
+
+
+def _check_finite(report: ProductivityReport) -> None:
+    """Bucket values whose product with the cycle rate leaves float range
+    are a config error, so no report holds inf or nan."""
+    if not math.isfinite(report.productivity_m3_per_hr):
+        raise ConfigError(
+            f"productivity is not finite: {report.cycles_per_hr!r} cycles/hr x "
+            f"bucket_volume_m3 {report.bucket_volume_m3!r} x "
+            f"bucket_full_rate {report.bucket_full_rate!r}"
+        )
 
 
 # The site config's rules for the bucket values report can override.
@@ -392,9 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full-rate", type=float, help="bucket full rate override")
     p.add_argument(
         "--rate-denominator",
-        choices=("dig_span", "stream"),
-        default="dig_span",
-        help="denominator for cycles/hr",
+        choices=RATE_DENOMINATORS,
+        help="denominator for cycles/hr (default: the analysis's own)",
     )
     p.set_defaults(func=cmd_report)
 

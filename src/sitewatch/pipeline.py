@@ -18,7 +18,7 @@ from typing import BinaryIO, Callable, Iterable, Iterator
 from . import forking
 from .activity import ActionClassifier, ActionState, ActionTimeline, build_timeline
 from .config import SiteConfig
-from .productivity import CycleRecord, ProductivityReport, build_report, detect_cycles
+from .productivity import ProductivityReport, build_report
 from .safety import Alert, PauseSignal, SafetyMonitor
 from .streams import (
     Detection,
@@ -39,10 +39,8 @@ class AnalysisResult:
     skipped: int
     track_classes: dict[int, MachineClass]
     runs: dict[int, list[tuple[ActionState, int, int]]]  # (state, first, last)
-    timelines: dict[int, ActionTimeline]
     primary_track: int | None
     timeline: ActionTimeline  # the primary track's; empty without one
-    cycles: list[CycleRecord]
     report: ProductivityReport
     alert_count: int
     pause: PauseSignal
@@ -99,15 +97,12 @@ class StreamAnalyzer:
 
     def finish(self, skipped: int = 0) -> AnalysisResult:
         """Close the analysis; ``alert_count`` counts every alert."""
-        fps, site, classifiers = self.header.fps, self.site, self._classifiers
-        timelines = {
-            tid: build_timeline(c.runs, fps, site.activity.min_segment_s)
-            for tid, c in classifiers.items()
-        }
+        site, classifiers = self.site, self._classifiers
         primary = max(
             classifiers, key=lambda tid: (classifiers[tid].observed_frames, -tid), default=None
         )
-        timeline = timelines.get(primary, ActionTimeline(fps, []))
+        primary_runs = classifiers[primary].runs if primary is not None else []
+        timeline = build_timeline(primary_runs, self.header.fps, site.activity.min_segment_s)
         report = build_report(
             timeline, site.bucket_volume_m3, site.bucket_full_rate, site.rate_denominator
         )
@@ -117,10 +112,8 @@ class StreamAnalyzer:
             skipped=skipped,
             track_classes=dict(self.track_classes),
             runs={tid: [tuple(run) for run in c.runs] for tid, c in classifiers.items()},
-            timelines=timelines,
             primary_track=primary,
             timeline=timeline,
-            cycles=detect_cycles(timeline),
             report=report,
             alert_count=self.alert_count,
             pause=self.monitor.pause,

@@ -29,7 +29,7 @@ class CycleRecord:
 
 @dataclass(frozen=True)
 class ProductivityReport:
-    cycles: int
+    cycles: list[CycleRecord]
     observed_s: float
     rate_denominator_s: float
     cycles_per_hr: float
@@ -106,7 +106,7 @@ def build_report(
     if starts and timeline.end_frame is not None and timeline.end_frame > starts[-1]:
         incomplete = (timeline.end_frame - starts[-1] + 1) / timeline.fps
     return ProductivityReport(
-        cycles=len(cycles),
+        cycles=cycles,
         observed_s=observed_s,
         rate_denominator_s=denom_s,
         cycles_per_hr=cycles_per_hr,
@@ -130,7 +130,7 @@ def _fmt(value: float) -> str:
 def report_rows(report: ProductivityReport) -> list[tuple[str, str]]:
     """Flatten a report into (field, value) rows for CSV and console."""
     rows = [
-        ("cycles", str(report.cycles)),
+        ("cycles", str(len(report.cycles))),
         ("observed_s", _fmt(report.observed_s)),
         ("rate_denominator_s", _fmt(report.rate_denominator_s)),
         ("cycles_per_hr", _fmt(report.cycles_per_hr)),

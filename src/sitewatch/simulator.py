@@ -198,7 +198,7 @@ class GroundTruth:
     """What an ideal analyzer must recover from the generated stream."""
 
     fps: float
-    states: list[ActionState]  # per frame, ideal-perception replay
+    runs: list[tuple[ActionState, int, int]]  # ideal-perception replay (state, first, last)
     phases: list[tuple[ActionState, int, int]]  # scripted (state, first, last)
     cycles: list[CycleRecord]  # dig-start pairs the replay realizes
     machines: tuple[MachineSpec, ...]  # secondary roster (excavator implied)
@@ -207,8 +207,8 @@ class GroundTruth:
     def to_dict(self) -> dict:
         return {
             "fps": self.fps,
-            "frames": len(self.states),
-            "states": [s.value for s in self.states],
+            "frames": sum(last - first + 1 for _, first, last in self.runs),
+            "states": [s.value for s, first, last in self.runs for _ in range(first, last + 1)],
             "phases": [[s.value, a, b] for s, a, b in self.phases],
             "cycles": [
                 {
@@ -515,13 +515,13 @@ def _ground_truth(
 ) -> GroundTruth:
     """The GroundTruth of a truth pass's runs and alert frames."""
     runs = [(ActionState(state), first, last) for state, first, last in runs]
-    # Cycles follow the same ideal-perception convention as states: a
+    # Cycles follow the same ideal-perception convention as runs: a
     # scripted dig cut down to a stub by the stream end is below the
     # rule resolution and closes no cycle.
     cycles = detect_cycles(build_timeline(runs, config.fps, config.activity.min_segment_s))
     return GroundTruth(
         fps=config.fps,
-        states=[state for state, first, last in runs for _ in range(first, last + 1)],
+        runs=runs,
         phases=list(plan.phases),
         cycles=cycles,
         machines=roster,

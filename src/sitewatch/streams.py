@@ -320,6 +320,8 @@ def _parse_frame(obj, header: StreamHeader, prev_index: int, line_no: int) -> Pe
         raise StreamFormatError(
             f"frame index {index} not increasing (previous {prev_index})", line_no
         )
+    if not math.isfinite(index / header.fps):
+        raise StreamFormatError(f"frame time (index / fps {header.fps!r}) is not finite", line_no)
     if not isinstance(obj["detections"], list) or not isinstance(obj["poses"], list):
         raise StreamFormatError("detections and poses must be arrays", line_no)
     detections = tuple([_parse_detection(d, header, line_no) for d in obj["detections"]])

@@ -650,7 +650,7 @@ def ground_truth_from_dict(obj: dict) -> GroundTruth:
     """Read back what ``GroundTruth.to_dict`` wrote."""
     return GroundTruth(
         fps=float(obj["fps"]),
-        states=[ActionState(s) for s in obj["states"]],
+        runs=runs_of([ActionState(s) for s in obj["states"]]),
         phases=[(ActionState(s), a, b) for s, a, b in obj["phases"]],
         cycles=[
             CycleRecord(c["start_frame"], c["end_frame"], c["duration_s"])

@@ -123,15 +123,13 @@ def test_criterion_2_zero_noise_cycle_exactness():
             site = SiteConfig(regions=config.regions, activity=config.activity)
             alerts = []
             result = analyze_stream(sim.lines(), site, on_alerts=alerts.extend)
-            assert len(result.cycles) == len(sim.truth.cycles), f"seed {seed}"
-            pairs = frame_states(result.runs[result.primary_track])
-            assert [f for f, _ in pairs] == list(range(len(sim.frames)))
-            got = [s for _, s in pairs]
-            warm_up_end = next(
-                i for i, s in enumerate(sim.truth.states) if s is not ActionState.UNKNOWN
-            )
-            assert got[warm_up_end:] == sim.truth.states[warm_up_end:], f"seed {seed}"
-            assert got == sim.truth.states, f"seed {seed}"  # holds even in warm-up
+            assert len(result.report.cycles) == len(sim.truth.cycles), f"seed {seed}"
+            got = frame_states(result.runs[result.primary_track])
+            assert [f for f, _ in got] == list(range(len(sim.frames)))
+            want = frame_states(sim.truth.runs)
+            warm_up_end = next(f for f, s in want if s is not ActionState.UNKNOWN)
+            assert got[warm_up_end:] == want[warm_up_end:], f"seed {seed}"
+            assert got == want, f"seed {seed}"  # holds even in warm-up
             if config.machines:
                 assert [a.frame for a in alerts] == sim.truth.alert_frames
 
@@ -148,7 +146,7 @@ def test_criterion_3_noise_robustness():
             site = SiteConfig(regions=config.regions, activity=config.activity)
             result = analyze_stream(sim.lines(), site)
             truth_cycles = len(sim.truth.cycles)
-            got_cycles = len(result.cycles)
+            got_cycles = len(result.report.cycles)
             if abs(got_cycles - truth_cycles) <= 1:
                 within_one += 1
             accuracies.append(cycle_accuracy(got_cycles, truth_cycles))

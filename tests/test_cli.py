@@ -6,6 +6,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -29,7 +31,7 @@ from sitewatch.streams import (
     write_stream,
 )
 
-from helpers import REGIONS, make_pose, shift_pose, watch_stream
+from helpers import REGIONS, make_pose, readme_section, shift_pose, watch_stream
 
 pytestmark = pytest.mark.usefixtures("in_tmp_path")
 
@@ -136,9 +138,11 @@ def test_report_parameter_overrides(tmp_path, capsys):
     assert _read_table(out / "report.csv") == base
 
 
-def _analysis_with_bucket(tmp_path, volume, full_rate):
+def _analysis_with_bucket(tmp_path, volume, full_rate, **site_fields):
     scenario = _scenario_file(tmp_path, seed=1)
-    site = _site_file(tmp_path, bucket_volume_m3=volume, bucket_full_rate=full_rate)
+    site = _site_file(
+        tmp_path, bucket_volume_m3=volume, bucket_full_rate=full_rate, **site_fields
+    )
     main(["simulate", "-c", str(scenario), "-o", str(tmp_path / "sim")])
     out = tmp_path / "analysis"
     stream = tmp_path / "sim" / "stream.jsonl"
@@ -228,6 +232,103 @@ def test_report_names_the_timeline_csv_line_of_a_bad_time(tmp_path, capsys, colu
     assert main(["report", "-i", str(out), "-o", str(redo)]) == 3
     err = capsys.readouterr().err
     assert err == f"error: line 3: {path}: {column} must be a number in [0, inf), got {bad!r}\n"
+    assert not redo.exists()
+
+
+def test_report_rejects_a_timeline_row_past_float_range_in_frames(tmp_path, capsys):
+    out, _ = _analysis_with_bucket(tmp_path, 0.6, 1.01)
+    path = out / "timeline.csv"
+    lines = path.read_text().splitlines()
+    cells = lines[-1].split(",")
+    cells[2] = "1e308"  # end_s; times 25 fps it is inf
+    lines[-1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    redo = tmp_path / "redo"
+    assert main(["report", "-i", str(out), "-o", str(redo)]) == 3
+    err = capsys.readouterr().err
+    want = "timeline CSV segment has no finite frame bounds at fps 25.0"
+    assert err == f"error: line {len(lines)}: {path}: {want}\n"
+    assert not redo.exists()
+
+
+def test_report_rejects_timeline_rows_that_cover_no_frame(tmp_path, capsys):
+    out, _ = _analysis_with_bucket(tmp_path, 0.6, 1.01)
+    meta = json.loads((out / "meta.json").read_text())
+    (out / "meta.json").write_text(json.dumps(dict(meta, fps=1e-320)))
+    capsys.readouterr()
+    redo = tmp_path / "redo"
+    assert main(["report", "-i", str(out), "-o", str(redo)]) == 3
+    err = capsys.readouterr().err
+    path = out / "timeline.csv"
+    assert err == f"error: line 2: {path}: timeline CSV segment covers no frame at fps 1e-320\n"
+    assert not redo.exists()
+
+
+def test_report_keeps_the_analysis_rate_denominator(tmp_path, capsys):
+    out, base = _analysis_with_bucket(tmp_path, 0.4, 1.0, rate_denominator="stream")
+    assert json.loads((out / "meta.json").read_text())["rate_denominator"] == "stream"
+    assert float(base["rate_denominator_s"]) == float(base["observed_s"])
+    redo = tmp_path / "redo"
+    assert main(["report", "-i", str(out), "-o", str(redo)]) == 0
+    assert (redo / "report.csv").read_bytes() == (out / "report.csv").read_bytes()
+    # The flag still overrides it.
+    span = tmp_path / "span"
+    assert main(["report", "-i", str(out), "-o", str(span), "--rate-denominator", "dig_span"]) == 0
+    assert float(_read_table(span / "report.csv")["rate_denominator_s"]) < float(base["observed_s"])
+
+
+def test_report_reads_dig_span_from_a_meta_json_without_the_key(tmp_path, capsys):
+    out, _ = _analysis_with_bucket(tmp_path, 0.4, 1.0, rate_denominator="stream")
+    meta = json.loads((out / "meta.json").read_text())
+    del meta["rate_denominator"]
+    (out / "meta.json").write_text(json.dumps(meta))
+    for name, flags in (("old", []), ("span", ["--rate-denominator", "dig_span"])):
+        assert main(["report", "-i", str(out), "-o", str(tmp_path / name), *flags]) == 0
+    old = (tmp_path / "old" / "report.csv").read_bytes()
+    assert old == (tmp_path / "span" / "report.csv").read_bytes()
+    assert old != (out / "report.csv").read_bytes()
+
+
+@pytest.mark.parametrize("source", ["report.csv", "--volume"])
+def test_report_rejects_bucket_values_whose_productivity_overflows(tmp_path, capsys, source):
+    out, _ = _analysis_with_bucket(tmp_path, 0.6, 1.01)
+    flags = ["--volume", "1e308"]
+    if source == "report.csv":
+        path = out / "report.csv"
+        path.write_text(path.read_text().replace("bucket_volume_m3,0.6", "bucket_volume_m3,1e308"))
+        flags = []
+    capsys.readouterr()
+    redo = tmp_path / "redo"
+    assert main(["report", "-i", str(out), "-o", str(redo), *flags]) == 2
+    assert capsys.readouterr().err.startswith("error: productivity is not finite: ")
+    assert not redo.exists()
+
+
+def test_analyze_rejects_bucket_values_whose_productivity_overflows(tmp_path, capsys):
+    scenario = _scenario_file(tmp_path, seed=1)
+    site = _site_file(tmp_path, bucket_volume_m3=1e308)
+    main(["simulate", "-c", str(scenario), "-o", str(tmp_path / "sim")])
+    out = tmp_path / "analysis"
+    capsys.readouterr()
+    stream = str(tmp_path / "sim" / "stream.jsonl")
+    assert main(["analyze", "-c", str(site), "-i", stream, "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: productivity is not finite: ")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ['"wall_clock"', '"STREAM"', "null", "1", '["stream"]'])
+def test_report_rejects_a_bad_rate_denominator_in_meta_json(tmp_path, capsys, value):
+    out, _ = _analysis_with_bucket(tmp_path, 0.6, 1.01)
+    meta = json.loads((out / "meta.json").read_text())
+    text = json.dumps(dict(meta, rate_denominator="RD")).replace('"RD"', value)
+    (out / "meta.json").write_text(text)
+    capsys.readouterr()
+    redo = tmp_path / "redo"
+    assert main(["report", "-i", str(out), "-o", str(redo)]) == 2
+    err = capsys.readouterr().err
+    want = "rate_denominator must be one of ('dig_span', 'stream')"
+    assert err == f"error: invalid meta.json: {want}\n"
     assert not redo.exists()
 
 
@@ -857,3 +958,22 @@ def test_watch_agrees_with_analyze_on_alerts_and_pause(tmp_path, capsys, monkeyp
     assert watch_alerts == alert_rows
     assert watch_events == meta["pause_events"]
     assert code == (1 if meta["pause"]["active"] else 0)
+
+
+def test_readme_quick_start_runs_and_prints_the_report_it_shows(tmp_path):
+    section = readme_section("Quick start")
+    script = re.findall(r"```sh\n(.*?)```", section, re.S)[0]
+    shown = re.search(r"`analyze` prints the report it writes:\n\n```\n(.*?)```", section, re.S)
+    want = [line for line in shown.group(1).splitlines() if line != "..."]
+    assert want[0] == "cycles: 5" and want[-1] == "state_s_digging: 18.4"
+    command = shlex.quote(sys.executable)
+    env = dict(os.environ, PYTHONPATH=str(Path(sitewatch.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        ["bash", "-c", f"set -e\nsitewatch() {{ {command} -m sitewatch.cli \"$@\"; }}\n{script}"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    start = lines.index(want[0])
+    assert lines[start : start + len(want)] == want
+    assert (tmp_path / "rescored" / "report.csv").exists()

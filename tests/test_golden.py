@@ -33,7 +33,7 @@ ANALYZE_DIGESTS = {
     "timeline.csv": "35eae0a9dd5705b3b2748243c81cae18be805ebc5e3ac89d6b84dec2a4e102cc",
     "alerts.csv": "1f7fb685a155444809d5281ba40b4fcd4b0feca22832dec0311f89af89ff6b31",
     "cycles.csv": "165799b73b40dcff830f05f3439eba1a7ec0d21ded89b973412b3d1d5cd6e383",
-    "meta.json": "88a1518845c3074ab993b21d4d66bbbd572f1e5de0464f772b9cc7004d030f66",
+    "meta.json": "e672840c38434b73594e58ae70102139a4e5581158946f6ce5726e0020bfbab8",
 }
 
 
@@ -85,7 +85,7 @@ NOISY_DIGESTS = {
     "ground_truth.json": "94066367de0ae3ae989ef6d5b62701c5f057ea607dccbc8d82482a8f8be3c800",
     "timeline.csv": "024e6b887d48bb696c1b2f5c5d21e66153c72031017dee12c50a477dfc39fefc",
     "alerts.csv": "929d354560c7e2b88d22ca6a89a59a5f61ce56e187953bfe79b6b609cb8ec33e",
-    "meta.json": "bdcbe1cd6dfe7bae108211686635eaa5d273ad1298d4c921e6afc8517866b4ce",
+    "meta.json": "3fc588da15d8aa5ad582e5eccb94ee50cb2cc9ac35b30350597431f40da37f67",
     "report.csv": "aca3f20ffbcdc7764ee54a78fc3f2cc35058281ead62aa73a6444f5d5656a5be",
     "cycles.csv": "4de5202f2d4845dbd9e5d1668644d3cd893ddbf2b2147d7ca4bace193c4b537a",
     "watch.stdout": "a555daf090ed65f17422889d0557a969f12fcfe049951762437aafb5e9bceaff",

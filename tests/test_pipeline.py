@@ -222,7 +222,7 @@ def test_readme_library_use_block_runs(tmp_path, monkeypatch):
     want.append(f"{result.alert_count} {result.report.productivity_m3_per_hr}")
     want += [
         f"{seg.state.value} {seg.start_s} {seg.end_s}"
-        for seg in result.timelines[primary].segments
+        for seg in result.timeline.segments
     ]
     want += [f"{state.value} {first} {last}" for state, first, last in result.runs[primary]]
     assert printed.getvalue().splitlines() == want

@@ -110,7 +110,7 @@ def _forty_cycle_timeline():
 
 def test_report_dig_span_rate():
     report = build_report(_forty_cycle_timeline(), 0.4, 1.01)
-    assert report.cycles == 40
+    assert len(report.cycles) == 40
     assert report.rate_denominator_s == 900.0
     assert report.cycles_per_hr == 160.0
     assert report.productivity_m3_per_hr == 64.64
@@ -129,7 +129,7 @@ def test_report_stream_denominator():
 
 def test_report_with_too_few_digs_has_zero_rate():
     report = build_report(_timeline([(D, 50), (SA, 50)]), 0.4, 1.01)
-    assert report.cycles == 0
+    assert report.cycles == []
     assert report.cycles_per_hr == 0.0
     assert report.productivity_m3_per_hr == 0.0
 
@@ -137,7 +137,7 @@ def test_report_with_too_few_digs_has_zero_rate():
 def test_report_flags_incomplete_trailing_cycle():
     timeline = _timeline([(D, 50), (SA, 25), (D, 50), (P, 100)])
     report = build_report(timeline, 0.4, 1.0)
-    assert report.cycles == 1
+    assert len(report.cycles) == 1
     # Footage after the last digging start: 50 + 100 frames at 25 fps.
     assert report.incomplete_cycle_s == pytest.approx(150 / 25.0)
     complete = build_report(_timeline([(D, 50), (SA, 25), (D, 1)]), 0.4, 1.0)

@@ -28,7 +28,7 @@ from sitewatch.simulator import (
 )
 from sitewatch.streams import MachineClass, parse_stream
 
-from helpers import frame_states, ground_truth_from_dict, random_scenario, runs_of
+from helpers import frame_states, ground_truth_from_dict, random_scenario
 
 D = ActionState.DIGGING
 SA = ActionState.SWING_AFTER_DIGGING
@@ -77,7 +77,7 @@ def test_generated_stream_always_parses_strict():
 def test_truth_spans_every_frame():
     sim = generate(_small(seed=3))
     n = len(sim.frames)
-    assert len(sim.truth.states) == n
+    assert [f for f, _ in frame_states(sim.truth.runs)] == list(range(n))
     assert sim.truth.phases[0][1] == 0
     assert sim.truth.phases[-1][2] == n - 1
     for (_, _, last), (_, first, _) in zip(sim.truth.phases, sim.truth.phases[1:]):
@@ -102,7 +102,7 @@ def test_scripted_phase_order_alternates_legally():
 def test_replayed_states_never_pair_forbidden_transitions():
     for seed in range(6):
         sim = generate(_small(seed=seed))
-        states = sim.truth.states
+        states = [s for _, s in frame_states(sim.truth.runs)]
         for prev, state in zip(states, states[1:]):
             if state is SF:
                 assert prev is not D
@@ -130,15 +130,13 @@ def test_zero_noise_round_trip_recovers_truth_exactly():
         sim = generate(config)
         site = SiteConfig(regions=config.regions, activity=config.activity)
         result = analyze_stream(sim.lines(), site)
-        assert len(result.cycles) == len(sim.truth.cycles)
+        assert len(result.report.cycles) == len(sim.truth.cycles)
         pairs = frame_states(result.runs[result.primary_track])
         assert [f for f, _ in pairs] == list(range(len(sim.frames)))
-        assert [s for _, s in pairs] == sim.truth.states
-        # The debounced timeline is the same debounce of the truth states.
-        want = build_timeline(
-            runs_of(sim.truth.states), config.fps, config.activity.min_segment_s
-        )
-        assert result.timelines[result.primary_track].segments == want.segments
+        assert pairs == frame_states(sim.truth.runs)
+        # The debounced timeline is the same debounce of the truth runs.
+        want = build_timeline(sim.truth.runs, config.fps, config.activity.min_segment_s)
+        assert result.timeline.segments == want.segments
 
 
 def test_benchmark_scenario_shape():
@@ -321,7 +319,7 @@ def test_frames_view_length_is_the_frame_line_count():
     sim = _noisy_injected()
     lines = list(sim.lines())
     assert len(sim.frames) == len(lines) - 1
-    assert len(sim.frames) == len(sim.truth.states)
+    assert len(sim.frames) == len(frame_states(sim.truth.runs))
 
 
 def test_frames_view_iterates_the_same_frames_each_time():

@@ -106,17 +106,22 @@ def _pose(x="10.0", conf="0.9"):
     return f'[{{"det":0,"keypoints":{{{kps}}}}}]'
 
 
+# A header whose fps puts frame 10**308 past float range, but not frame 2.
+_SLOW_H = _H.replace("25.0", "0.5")
+
+
 @pytest.mark.parametrize(
-    "index,detections,poses",
+    "index,detections,poses,header",
     [
-        (1, _detection(bbox=f"[{_HUGE},20.0,200.0,100.0]"), "[]"),
-        (1, _detection(bbox=f"[10.0,20.0,-{_HUGE},100.0]"), "[]"),
-        (1, _detection(score=_HUGE), "[]"),
-        (1, _detection(cls='["excavator"]'), "[]"),
-        (1, _detection(cls='{"name":"excavator"}'), "[]"),
-        (1, _detection(), _pose(x=_HUGE)),
-        (1, _detection(), _pose(conf=_HUGE)),
-        (_HUGE, _detection(), "[]"),
+        (1, _detection(bbox=f"[{_HUGE},20.0,200.0,100.0]"), "[]", _H),
+        (1, _detection(bbox=f"[10.0,20.0,-{_HUGE},100.0]"), "[]", _H),
+        (1, _detection(score=_HUGE), "[]", _H),
+        (1, _detection(cls='["excavator"]'), "[]", _H),
+        (1, _detection(cls='{"name":"excavator"}'), "[]", _H),
+        (1, _detection(), _pose(x=_HUGE), _H),
+        (1, _detection(), _pose(conf=_HUGE), _H),
+        (_HUGE, _detection(), "[]", _H),
+        ("1" + "0" * 308, _detection(), "[]", _SLOW_H),
     ],
     ids=[
         "bbox_x",
@@ -127,14 +132,17 @@ def _pose(x="10.0", conf="0.9"):
         "keypoint_x",
         "keypoint_conf",
         "frame_index",
+        "frame_time",
     ],
 )
-def test_out_of_range_integers_and_unhashable_classes_are_format_errors(index, detections, poses):
+def test_out_of_range_integers_and_unhashable_classes_are_format_errors(
+    index, detections, poses, header
+):
     bad = frame_line(index, detections, poses)
     with pytest.raises(StreamFormatError) as err:
-        list(parse_stream([_H, frame_line(0), "", bad]))
+        list(parse_stream([header, frame_line(0), "", bad]))
     assert "line 4" in str(err.value)
-    parser = parse_stream([_H, frame_line(0), bad, frame_line(2)], strict=False)
+    parser = parse_stream([header, frame_line(0), bad, frame_line(2)], strict=False)
     assert [f.index for f in parser] == [0, 2]
     assert parser.skipped == 1
 

@@ -114,6 +114,11 @@ def _long_line():
     return b"".join(lines)
 
 
+def _subnormal_fps():
+    # Frame 0 is at 0 s; frame 1's time, 1 / fps, overflows to inf.
+    return watch_stream({0, 1}, 3).replace('"fps": 25.0', '"fps": 1e-320').encode()
+
+
 # name -> (stdin bytes, extra flags, exit code)
 CASES = {
     "alerts_pause_raised_and_cleared": (_alerts(0, 1, 2), [], 0),
@@ -126,6 +131,7 @@ CASES = {
     "no_final_newline": (_alerts(0, 1, 5).rstrip(b"\n"), [], 1),
     "line_longer_than_a_chunk": (_long_line(), [], 0),
     "empty_input": (b"", [], 3),
+    "strict_infinite_frame_time": (_subnormal_fps(), [], 3),
     "header_only": (_alerts().splitlines(keepends=True)[0], [], 0),
 }
 
@@ -153,6 +159,10 @@ def test_forked_watch_prints_the_same_bytes_as_in_process(tmp_path, case):
     if case.startswith(("alerts", "strict_bad", "lenient", "crlf", "line_longer")):
         kinds = [(r["type"], r["frame"]) for r in map(json.loads, stdout.splitlines())]
         assert kinds[:3] == [("alert", 0), ("pause_raised", 0), ("alert", 1)]
+    if case == "strict_infinite_frame_time":
+        records = [json.loads(line) for line in stdout.splitlines()]
+        assert [(r["type"], r["frame"]) for r in records] == [("alert", 0), ("pause_raised", 0)]
+        assert b"line 3" in stderr
 
 
 def _read_records(fd, pending, until, timeout=TIMEOUT_S):
