@@ -41,7 +41,6 @@ from .productivity import (
     ProductivityReport,
     build_report,
     compute_productivity,
-    cycle_accuracy,
     detect_cycles,
 )
 from .safety import (

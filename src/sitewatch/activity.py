@@ -103,9 +103,11 @@ class MotionWindow:
 
 
 def is_still(motion: float, threshold: float) -> bool:
-    """Strictly below the threshold counts as still."""
-    if threshold <= 0:
-        raise ValueError("stillness threshold must be positive")
+    """Strictly below the threshold counts as still.
+
+    ActivityConfig holds the threshold positive, and a bbox diagonal
+    that scales it is positive too, so it is not checked here.
+    """
     return motion < threshold
 
 

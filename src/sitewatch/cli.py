@@ -219,8 +219,12 @@ def _report_params_from_csv(path) -> dict[str, float]:
     params = {name: getattr(SiteConfig, name) for name in _BUCKET_RULES}
     if os.path.exists(path):
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            for line_no, row in enumerate(csv.DictReader(fh), start=2):
-                name = row.get("field")
+            reader = csv.DictReader(fh)
+            required = {"field", "value"}
+            if reader.fieldnames is None or required - set(reader.fieldnames):
+                raise StreamFormatError(f"{path}: report CSV needs columns {sorted(required)}")
+            for line_no, row in enumerate(reader, start=2):
+                name = row["field"]
                 if name in params:
                     interval, _ = _BUCKET_RULES[name]
                     try:

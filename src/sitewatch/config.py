@@ -8,7 +8,7 @@ fail loudly instead of silently running with defaults.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 from .activity import ActivityConfig
 from .errors import ConfigError
@@ -21,8 +21,9 @@ from .streams import check_fields, number_field
 class SiteConfig:
     regions: tuple[Region, ...]
     activity: ActivityConfig = field(default_factory=ActivityConfig)
-    # The ranges soft_nms_indexed and IouTracker enforce, checked here so
-    # a bad value fails when the config is read.
+    # Checked here so a bad value fails when the config is read.  The
+    # soft-NMS values are checked nowhere else: soft_nms_indexed runs on
+    # every frame and takes them as they are held here.
     nms_iou: float = number_field(0.3, "[0, 1]")
     nms_decay: float = number_field(0.5, "(0, inf)")
     nms_score_floor: float = number_field(0.001, "[0, 1]")
@@ -69,13 +70,6 @@ def region_from_dict(obj: dict) -> Region:
         raise ConfigError(f"invalid region polygon: {exc}") from None
 
 
-def region_to_dict(region: Region) -> dict:
-    return {
-        "label": region.label.value,
-        "polygon": [[x, y] for x, y in region.polygon],
-    }
-
-
 def activity_from_dict(obj: dict) -> ActivityConfig:
     keys = {f.name for f in fields(ActivityConfig)}
     expect_keys(obj, keys, set(), "activity config")
@@ -91,13 +85,9 @@ def _regions_from_list(value) -> tuple[Region, ...]:
     return tuple(region_from_dict(r) for r in value)
 
 
-# (decode, encode) for the values a config file does not hold as they
-# are in memory; every other field is written as it is.
-_AS_WRITTEN = (lambda value: value, lambda value: value)
-CODECS = {
-    "regions": (_regions_from_list, lambda regions: [region_to_dict(r) for r in regions]),
-    "activity": (activity_from_dict, asdict),
-}
+# The decoder of each value a config file does not hold as it is in
+# memory; every other field is read as it is written.
+CODECS = {"regions": _regions_from_list, "activity": activity_from_dict}
 
 
 def fields_from_dict(
@@ -123,25 +113,12 @@ def fields_from_dict(
         section, _, key = path.rpartition(".")
         values = obj.get(section, {}) if section else obj
         if key in values:
-            decode, _ = codecs.get(name, _AS_WRITTEN)
+            decode = codecs.get(name)
             try:
-                kwargs[name] = decode(values[key])
+                kwargs[name] = values[key] if decode is None else decode(values[key])
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"invalid {what} {path}: {exc}") from None
     return kwargs
-
-
-def fields_to_dict(cfg, table: dict, codecs: dict) -> dict:
-    """The JSON object ``fields_from_dict`` reads back; None is left out."""
-    out: dict = {}
-    for path, name in table.items():
-        value = getattr(cfg, name)
-        if value is not None:
-            section, _, key = path.rpartition(".")
-            _, encode = codecs.get(name, _AS_WRITTEN)
-            target = out.setdefault(section, {}) if section else out
-            target[key] = encode(value)
-    return out
 
 
 # JSON key -> SiteConfig field; each default is SiteConfig's own.
@@ -166,10 +143,6 @@ def site_config_from_dict(obj: dict) -> SiteConfig:
         return SiteConfig(**kwargs)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid site config: {exc}") from None
-
-
-def site_config_to_dict(cfg: SiteConfig) -> dict:
-    return fields_to_dict(cfg, _SITE_FIELDS, CODECS)
 
 
 def load_json_config(path, what: str) -> dict:

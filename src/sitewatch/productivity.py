@@ -62,17 +62,6 @@ def compute_productivity(
     return cycles_per_hr * bucket_volume_m3 * full_rate
 
 
-def cycle_accuracy(detected: int, ground_truth: int) -> float:
-    """min/max ratio, symmetric under over- and under-counting."""
-    if ground_truth <= 0:
-        raise ValueError("ground_truth must be positive")
-    if detected < 0:
-        raise ValueError("detected must be non-negative")
-    if detected == 0:
-        return 0.0
-    return min(detected, ground_truth) / max(detected, ground_truth)
-
-
 def build_report(
     timeline: ActionTimeline,
     bucket_volume_m3: float,
@@ -124,7 +113,8 @@ _STATE_ROW_ORDER = ("digging", "swinging", "dumping", "idle", "unknown")
 def _fmt(value: float) -> str:
     # 10 significant digits keep report values readable (64.64, not the
     # 1-ulp float artifact 64.64000000000001) without hiding real error.
-    return format(value, ".10g")
+    # Adding 0.0 turns -0.0 into 0.0, so no report value reads "-0".
+    return format(value + 0.0, ".10g")
 
 
 def report_rows(report: ProductivityReport) -> list[tuple[str, str]]:

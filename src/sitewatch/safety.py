@@ -121,10 +121,9 @@ def update_pause(
     """Advance the pause latch by one frame.
 
     Any alert (re)arms the latch; an active latch releases only after
-    clearance_window consecutive alert-free frames.
+    clearance_window consecutive alert-free frames.  SafetyMonitor
+    holds clearance_window to at least 1.
     """
-    if clearance_window < 1:
-        raise ValueError("clearance_window must be at least 1")
     if alerts:
         if signal.active:
             return replace(signal, clear_streak=0)
@@ -154,6 +153,8 @@ class SafetyMonitor:
     ):
         if fps <= 0:
             raise ValueError("fps must be positive")
+        if clearance_window < 1:
+            raise ValueError("clearance_window must be at least 1")
         self.regions = tuple(regions)
         self.fps = fps
         self.clearance_window = clearance_window

@@ -21,12 +21,12 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterator, Sequence
 
 from . import forking
 from .activity import ActionClassifier, ActionState, ActivityConfig, build_timeline
-from .config import CODECS, expect_keys, fields_from_dict, fields_to_dict, load_json_config
+from .config import CODECS, expect_keys, fields_from_dict, load_json_config
 from .errors import ConfigError
 from .geometry import (
     BBox,
@@ -179,6 +179,14 @@ class ScenarioConfig:
             raise ValueError("source must be a string")
         if self.idle_prob > 0 and self.idle is None:
             raise ValueError("idle_prob needs an idle duration range")
+        # Every phase emits a frame, so MAX_FRAMES also bounds the draws.
+        for name in ("dig", "swing", "dump", "idle"):
+            phase = getattr(self, name)
+            if phase is not None and phase.min_s * self.fps < 1:
+                raise ValueError(
+                    f"phase {name} min_s {phase.min_s!r} is shorter than one frame"
+                    f" at fps {self.fps!r}"
+                )
         regions = tuple(self.regions)
         object.__setattr__(self, "regions", regions)
         validate_regions(regions)
@@ -772,18 +780,15 @@ def _noise_from_dict(obj: dict) -> NoiseModel:
     return NoiseModel(**obj)
 
 
-_PHASE_CODEC = (lambda pair: DurationRange(*pair), lambda r: [r.min_s, r.max_s])
+_PHASE_CODEC = lambda pair: DurationRange(*pair)
 _SCENARIO_CODECS = {
     **CODECS,
     "dig": _PHASE_CODEC,
     "swing": _PHASE_CODEC,
     "dump": _PHASE_CODEC,
     "idle": _PHASE_CODEC,
-    "machines": (
-        lambda specs: tuple(map(machine_from_dict, specs)),
-        lambda specs: [machine_to_dict(m) for m in specs],
-    ),
-    "noise": (_noise_from_dict, asdict),
+    "machines": lambda specs: tuple(map(machine_from_dict, specs)),
+    "noise": _noise_from_dict,
 }
 
 
@@ -804,10 +809,6 @@ def scenario_from_dict(obj: dict) -> tuple[ScenarioConfig, dict | None]:
         return ScenarioConfig(**kwargs), inject
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid scenario config: {exc}") from None
-
-
-def scenario_to_dict(config: ScenarioConfig) -> dict:
-    return fields_to_dict(config, _SCENARIO_FIELDS, _SCENARIO_CODECS)
 
 
 def load_scenario(path) -> tuple[ScenarioConfig, dict | None]:

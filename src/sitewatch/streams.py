@@ -506,18 +506,12 @@ def soft_nms_indexed(
     iou_threshold by exp(-iou**2 / decay), where decay is the Gaussian
     sigma.  Boxes falling below score_floor are dropped.  Returns (original index, detection with
     decayed score) sorted by decayed score descending; ties keep input
-    order.  Classes never suppress each other.
+    order.  Classes never suppress each other.  The parameters come as
+    SiteConfig holds them and the scores as the parser does, so neither
+    is checked here.
     """
-    if not 0.0 <= iou_threshold <= 1.0:
-        raise ValueError("iou_threshold must be in [0, 1]")
-    if decay <= 0:
-        raise ValueError("decay must be positive")
-    if not 0.0 <= score_floor <= 1.0:
-        raise ValueError("score_floor must be in [0, 1]")
     by_class: dict[MachineClass, list[list]] = {}
     for idx, det in enumerate(detections):
-        if not 0.0 <= det.score <= 1.0:
-            raise ValueError("detection score out of [0, 1]")
         by_class.setdefault(det.cls, []).append([idx, det, det.score])
     kept: list[tuple[int, Detection]] = []
     for pool in by_class.values():

@@ -11,10 +11,12 @@ from __future__ import annotations
 import json
 import math
 import random
+from dataclasses import asdict
 from pathlib import Path
 
+from sitewatch import config, simulator
 from sitewatch.activity import ActionState, ActivityConfig
-from sitewatch.config import SiteConfig, site_config_to_dict
+from sitewatch.config import SiteConfig
 from sitewatch.geometry import Region, RegionLabel
 from sitewatch.productivity import CycleRecord
 from sitewatch.simulator import (
@@ -24,6 +26,7 @@ from sitewatch.simulator import (
     NoiseModel,
     ScenarioConfig,
     machine_from_dict,
+    machine_to_dict,
 )
 from sitewatch.streams import (
     KEYPOINT_NAMES,
@@ -638,6 +641,64 @@ def random_scenario(seed: int, noise: NoiseModel | None = None,
 
 
 # --- config and truth files ---------------------------------------------------
+
+
+def region_to_dict(region: Region) -> dict:
+    return {
+        "label": region.label.value,
+        "polygon": [[x, y] for x, y in region.polygon],
+    }
+
+
+def _phase_to_list(phase: DurationRange) -> list:
+    return [phase.min_s, phase.max_s]
+
+
+# The encoder of each value a config file does not hold as it is in
+# memory; every other field is written as it is.
+_ENCODERS = {
+    "regions": lambda regions: [region_to_dict(r) for r in regions],
+    "activity": asdict,
+    "dig": _phase_to_list,
+    "swing": _phase_to_list,
+    "dump": _phase_to_list,
+    "idle": _phase_to_list,
+    "machines": lambda specs: [machine_to_dict(m) for m in specs],
+    "noise": asdict,
+}
+
+
+def fields_to_dict(cfg, table: dict) -> dict:
+    """The JSON object ``config.fields_from_dict`` reads back through the
+    same key table; None is left out."""
+    out: dict = {}
+    for path, name in table.items():
+        value = getattr(cfg, name)
+        if value is not None:
+            section, _, key = path.rpartition(".")
+            encode = _ENCODERS.get(name)
+            target = out.setdefault(section, {}) if section else out
+            target[key] = value if encode is None else encode(value)
+    return out
+
+
+def site_config_to_dict(cfg: SiteConfig) -> dict:
+    return fields_to_dict(cfg, config._SITE_FIELDS)
+
+
+def scenario_to_dict(cfg: ScenarioConfig) -> dict:
+    return fields_to_dict(cfg, simulator._SCENARIO_FIELDS)
+
+
+def cycle_accuracy(detected: int, ground_truth: int) -> float:
+    """min/max ratio, symmetric under over- and under-counting."""
+    if ground_truth <= 0:
+        raise ValueError("ground_truth must be positive")
+    if detected < 0:
+        raise ValueError("detected must be non-negative")
+    if detected == 0:
+        return 0.0
+    return min(detected, ground_truth) / max(detected, ground_truth)
 
 
 def write_site_config(cfg: SiteConfig, path) -> None:

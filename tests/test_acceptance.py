@@ -15,7 +15,7 @@ import pytest
 
 from sitewatch.activity import ActionState, ActivityConfig
 from sitewatch.cli import main
-from sitewatch.config import SiteConfig, site_config_to_dict
+from sitewatch.config import SiteConfig
 from sitewatch.errors import EXIT_PARSE, StreamFormatError
 from sitewatch.geometry import LocationLabel, RegionLabel
 from sitewatch.metrics import (
@@ -25,14 +25,12 @@ from sitewatch.metrics import (
     oks,
 )
 from sitewatch.pipeline import analyze_stream
-from sitewatch.productivity import cycle_accuracy
 from sitewatch.safety import PauseSignal, check_collision, update_pause
 from sitewatch.simulator import (
     DEFAULT_REGIONS,
     NoiseModel,
     generate,
     productivity_benchmark_config,
-    scenario_to_dict,
 )
 from sitewatch.streams import (
     MachineClass,
@@ -44,6 +42,7 @@ from sitewatch.streams import (
 from helpers import (
     AP_FIXTURES,
     MALFORMED_STREAMS,
+    cycle_accuracy,
     frame_states,
     make_pose,
     naive_soft_nms,
@@ -54,7 +53,9 @@ from helpers import (
     random_pose_instance,
     random_scenario,
     random_stream,
+    scenario_to_dict,
     shift_pose,
+    site_config_to_dict,
 )
 
 

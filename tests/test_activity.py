@@ -141,8 +141,6 @@ def test_is_still_strict_inequality():
     assert is_still(0.0, 1.5)
     assert not is_still(1.5, 1.5)
     assert not is_still(5.0, 1.5)
-    with pytest.raises(ValueError):
-        is_still(1.0, 0.0)
 
 
 def test_still_body_in_digging_area_digs():

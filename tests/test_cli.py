@@ -16,12 +16,11 @@ import pytest
 
 import sitewatch
 from sitewatch.cli import main
-from sitewatch.config import SiteConfig, site_config_to_dict
+from sitewatch.config import SiteConfig
 from sitewatch.simulator import (
     DEFAULT_REGIONS,
     DurationRange,
     ScenarioConfig,
-    scenario_to_dict,
 )
 from sitewatch.streams import (
     Detection,
@@ -31,7 +30,15 @@ from sitewatch.streams import (
     write_stream,
 )
 
-from helpers import REGIONS, make_pose, readme_section, shift_pose, watch_stream
+from helpers import (
+    REGIONS,
+    make_pose,
+    readme_section,
+    scenario_to_dict,
+    shift_pose,
+    site_config_to_dict,
+    watch_stream,
+)
 
 pytestmark = pytest.mark.usefixtures("in_tmp_path")
 
@@ -263,6 +270,37 @@ def test_report_rejects_timeline_rows_that_cover_no_frame(tmp_path, capsys):
     path = out / "timeline.csv"
     assert err == f"error: line 2: {path}: timeline CSV segment covers no frame at fps 1e-320\n"
     assert not redo.exists()
+
+
+@pytest.mark.parametrize("header", ["field,val", "name,value"])
+def test_report_rejects_a_report_csv_without_its_columns(tmp_path, capsys, header):
+    out, _ = _analysis_with_bucket(tmp_path, 0.6, 1.01)
+    path = out / "report.csv"
+    path.write_text(f"{header}\nbucket_volume_m3,9\n")
+    capsys.readouterr()
+    redo = tmp_path / "redo"
+    assert main(["report", "-i", str(out), "-o", str(redo)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: report CSV needs columns ['field', 'value']\n"
+    assert not redo.exists()
+
+
+def test_report_writes_a_negative_zero_volume_as_0(tmp_path, capsys):
+    out, _ = _analysis_with_bucket(tmp_path, 0.6, 1.01)
+    capsys.readouterr()
+    redo = tmp_path / "redo"
+    assert main(["report", "-i", str(out), "-o", str(redo), "--volume", "-0.0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "bucket_volume_m3: 0" in lines and "productivity_m3_per_hr: 0" in lines
+    table = _read_table(redo / "report.csv")
+    assert table["bucket_volume_m3"] == table["productivity_m3_per_hr"] == "0"
+
+
+def test_analyze_writes_a_negative_zero_volume_from_the_site_config_as_0(tmp_path, capsys):
+    out, table = _analysis_with_bucket(tmp_path, -0.0, 1.01)
+    site = json.loads((tmp_path / "site.json").read_text())
+    assert math.copysign(1.0, site["bucket"]["volume_m3"]) == -1.0
+    assert table["bucket_volume_m3"] == table["productivity_m3_per_hr"] == "0"
 
 
 def test_report_keeps_the_analysis_rate_denominator(tmp_path, capsys):

@@ -10,14 +10,20 @@ from sitewatch.config import (
     SiteConfig,
     load_site_config,
     region_from_dict,
-    region_to_dict,
     site_config_from_dict,
-    site_config_to_dict,
 )
 from sitewatch.errors import ConfigError
 from sitewatch.geometry import Region, RegionLabel
 
-from helpers import DIG_SQUARE, DUMP_SQUARE, REGIONS, readme_section, write_site_config
+from helpers import (
+    DIG_SQUARE,
+    DUMP_SQUARE,
+    REGIONS,
+    readme_section,
+    region_to_dict,
+    site_config_to_dict,
+    write_site_config,
+)
 
 
 def _minimal_dict():
@@ -145,6 +151,10 @@ BAD_VALUES = [
     ("activity", "min_segment_s", 10**400),
     ("nms", "decay", float("inf")),
     ("bucket", "volume_m3", float("inf")),
+    # soft_nms_indexed and update_pause take these as the config holds them.
+    ("nms", "iou_threshold", 1.5),
+    ("nms", "score_floor", -0.1),
+    ("safety", "clearance_window", 0),
 ]
 
 

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from sitewatch.activity import ActivityConfig
 from sitewatch.cli import main
-from sitewatch.config import SiteConfig, site_config_from_dict, site_config_to_dict
+from sitewatch.config import SiteConfig, site_config_from_dict
 from sitewatch.errors import ConfigError
 from sitewatch.simulator import (
     DurationRange,
@@ -36,11 +36,10 @@ from sitewatch.simulator import (
     ScenarioConfig,
     run_scenario,
     scenario_from_dict,
-    scenario_to_dict,
 )
 from sitewatch.streams import MachineClass, parse_stream
 
-from helpers import REGIONS
+from helpers import REGIONS, scenario_to_dict, site_config_to_dict
 
 # One short cycle with every section present, so a mutation can reach
 # each key; dropping cycle_count leaves a 6 s duration-driven stream.
@@ -264,6 +263,7 @@ _TARGETS = st.one_of(
 @given(target=_TARGETS, value=st.sampled_from(list(CELL_VALUES)))
 @example(target=("timeline", (-1, "end_s")), value="1e308")
 @example(target=("meta", "fps"), value="1e-320")
+@example(target=("report", "bucket_volume_m3"), value="-0.0")
 def test_a_mutated_analysis_is_rejected_or_reported_in_finite_numbers(
     analysis_dir, target, value
 ):
@@ -279,3 +279,5 @@ def test_a_mutated_analysis_is_rejected_or_reported_in_finite_numbers(
         cycles = _read_rows(out / "cycles.csv")[1:]
         for cell in [v for _, v in report if v != ""] + [v for row in cycles for v in row]:
             assert math.isfinite(float(cell)), (target, value, cell)
+        # Every report value is at least 0, and -0.0 is written as 0.
+        assert not any(v.startswith("-") for _, v in report), (target, value, report)

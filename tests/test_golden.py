@@ -12,7 +12,7 @@ import hashlib
 import json
 
 from sitewatch.cli import main
-from sitewatch.config import SiteConfig, site_config_to_dict
+from sitewatch.config import SiteConfig
 from sitewatch.simulator import (
     DEFAULT_REGIONS,
     DurationRange,
@@ -20,9 +20,10 @@ from sitewatch.simulator import (
     NoiseModel,
     ScenarioConfig,
     productivity_benchmark_config,
-    scenario_to_dict,
 )
 from sitewatch.streams import MachineClass
+
+from helpers import scenario_to_dict, site_config_to_dict
 
 SIMULATE_DIGESTS = {
     "stream.jsonl": "670c76538927eeb839b12d09f727e8db3b7bdb59ecf1d549e7719ff35e2d6da7",

@@ -9,14 +9,13 @@ from sitewatch.productivity import (
     CycleRecord,
     build_report,
     compute_productivity,
-    cycle_accuracy,
     detect_cycles,
     report_rows,
     write_cycles_csv,
     write_report_csv,
 )
 
-from helpers import runs_of
+from helpers import cycle_accuracy, runs_of
 
 D = ActionState.DIGGING
 SA = ActionState.SWING_AFTER_DIGGING

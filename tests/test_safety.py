@@ -176,8 +176,8 @@ def test_new_alert_resets_the_clearing_streak():
 
 
 def test_clearance_window_must_be_positive():
-    with pytest.raises(ValueError):
-        update_pause(PauseSignal(), [], 0, clearance_window=0)
+    with pytest.raises(ValueError, match="clearance_window"):
+        SafetyMonitor(REGIONS, 25.0, clearance_window=0)
 
 
 @settings(max_examples=150, derandomize=True)

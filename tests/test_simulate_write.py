@@ -19,9 +19,9 @@ import sitewatch
 import sitewatch.forking as forking
 import sitewatch.simulator as simulator
 import sitewatch.streams as streams
-from sitewatch.simulator import NoiseModel, generate, inject_collision, scenario_to_dict
+from sitewatch.simulator import NoiseModel, generate, inject_collision
 
-from helpers import random_scenario
+from helpers import random_scenario, scenario_to_dict
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 

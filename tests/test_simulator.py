@@ -24,11 +24,10 @@ from sitewatch.simulator import (
     productivity_benchmark_config,
     run_scenario,
     scenario_from_dict,
-    scenario_to_dict,
 )
 from sitewatch.streams import MachineClass, parse_stream
 
-from helpers import frame_states, ground_truth_from_dict, random_scenario
+from helpers import frame_states, ground_truth_from_dict, random_scenario, scenario_to_dict
 
 D = ActionState.DIGGING
 SA = ActionState.SWING_AFTER_DIGGING
@@ -291,6 +290,37 @@ def test_a_scenario_of_billions_of_frames_fails_fast(tmp_path, capsys, length):
     err = capsys.readouterr().err
     assert err.startswith("error: invalid scenario config: the stream would be ")
     assert not (tmp_path / "sim").exists()
+
+
+_TINY = [1e-5, 1e-5]
+
+
+@pytest.mark.parametrize(
+    "phases, change",
+    [
+        ({"dig": _TINY, "swing": _TINY, "dump": _TINY}, {"duration_s": 120.0}),
+        ({}, {"cycle_count": 200_000, "fps": 0.01}),
+        ({"idle": [0.01, 1.0]}, {"idle_prob": 0.5}),
+    ],
+)
+def test_a_phase_shorter_than_one_frame_fails_fast(tmp_path, capsys, phases, change):
+    obj = scenario_to_dict(ScenarioConfig())
+    obj = dict(obj, phases=dict(obj["phases"], **phases), **change)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(obj))
+    start = time.monotonic()
+    assert main(["simulate", "-c", str(path), "-o", str(tmp_path / "sim")]) == 2
+    assert time.monotonic() - start < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid scenario config: phase ")
+    assert "shorter than one frame" in err
+    assert not (tmp_path / "sim").exists()
+
+
+def test_a_phase_of_exactly_one_frame_is_allowed():
+    pinned = DurationRange(0.04, 0.04)
+    sim = generate(ScenarioConfig(cycle_count=2, dig=pinned, swing=pinned, dump=pinned))
+    assert [last - first for _, first, last in sim.truth.phases] == [0] * 10
 
 
 def test_ground_truth_dict_round_trip():

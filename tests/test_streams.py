@@ -1,12 +1,18 @@
 """Stream schema parsing, serialization round-trips, and soft-NMS."""
 
+import itertools
 import json
 import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from sitewatch.config import SiteConfig
 from sitewatch.errors import StreamFormatError
+from sitewatch.pipeline import analyze_stream
+from sitewatch.simulator import MachineSpec, ScenarioConfig, generate
 import sitewatch.streams as streams
 from sitewatch.streams import (
     ARM,
@@ -376,15 +382,6 @@ def test_soft_nms_matches_naive_reference():
             assert det.score == pytest.approx(score, abs=1e-12)
 
 
-def test_soft_nms_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        soft_nms_indexed([], iou_threshold=1.5)
-    with pytest.raises(ValueError):
-        soft_nms_indexed([], decay=0.0)
-    with pytest.raises(ValueError):
-        soft_nms_indexed([], score_floor=-0.1)
-
-
 def test_dedupe_frame_remaps_pose_references():
     box = (0.0, 0.0, 100.0, 50.0)
     pose_a = make_pose(arm=(10.0, 10.0))
@@ -427,3 +424,113 @@ def test_dedupe_frame_returns_an_unchanged_frame_as_it_is():
     # A lone box below the score floor is dropped with its pose.
     low = PerceptionFrame(6, (make_detection("excavator", score=0.0005),), ((0, pose),))
     assert dedupe_frame(low) == PerceptionFrame(6, (), ())
+
+
+# --- stream-line fuzz -----------------------------------------------------------
+
+
+def _fuzz_lines() -> list[bytes]:
+    """The header and first frames of a simulated stream with a parked truck."""
+    truck = MachineSpec(MachineClass.TRUCK, (1332.0, 400.0, 160.0, 120.0))
+    sim = generate(ScenarioConfig(seed=5, cycle_count=1, machines=(truck,)))
+    lines = serialize_stream(sim.header, itertools.islice(sim.frames, 6))
+    return [line.encode() + b"\n" for line in lines]
+
+
+FUZZ_LINES = _fuzz_lines()
+FUZZ_FRAMES = list(parse_stream(FUZZ_LINES))
+FUZZ_FPS = parse_stream(FUZZ_LINES).header.fps
+FUZZ_SITE = SiteConfig(regions=ScenarioConfig().regions)
+# JSON texts that no frame value may hold, then numbers that some may.
+_NEVER_VALID = ["NaN", "Infinity", "-Infinity", "true", "null", "1" + "0" * 400, '"x"', "[[1.0]]"]
+_NUMBERS = [str(2**63), "1.5", "-0.0", "1e308"]
+_PLACEHOLDER = "@mutated@"
+
+
+def _paths(obj, dicts: bool, path=()) -> list[tuple]:
+    """Paths to obj's dicts, or to its scalar values."""
+    if isinstance(obj, (dict, list)):
+        items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+        found = [path] if dicts and isinstance(obj, dict) else []
+        for key, value in items:
+            found += _paths(value, dicts, path + (key,))
+        return found
+    return [] if dicts else [path]
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+@st.composite
+def _mutations(draw):
+    """(line number, kind, where, what) for one change to one frame line."""
+    line_no = draw(st.integers(2, len(FUZZ_LINES)), label="line_no")
+    obj = json.loads(FUZZ_LINES[line_no - 1])
+    kind = draw(st.sampled_from(["value", "drop", "rename", "utf8"]), label="kind")
+    if kind == "utf8":
+        return line_no, kind, draw(st.integers(0, len(FUZZ_LINES[line_no - 1]) - 1)), None
+    if kind == "value":
+        path = draw(st.sampled_from(_paths(obj, dicts=False)), label="path")
+        return line_no, kind, path, draw(st.sampled_from(_NEVER_VALID + _NUMBERS), label="text")
+    path = draw(st.sampled_from(_paths(obj, dicts=True)), label="path")
+    return line_no, kind, path, draw(st.sampled_from(sorted(_at(obj, path))), label="key")
+
+
+def _mutate(line: bytes, kind: str, where, what) -> bytes:
+    if kind == "utf8":
+        return line[:where] + b"\xff" + line[where:]
+    obj = json.loads(line)
+    if kind == "value":
+        *parent, last = where
+        _at(obj, parent)[last] = _PLACEHOLDER
+        return json.dumps(obj).replace(f'"{_PLACEHOLDER}"', what).encode() + b"\n"
+    value = _at(obj, where).pop(what)
+    if kind == "rename":
+        _at(obj, where)[what + "_renamed"] = value
+    return json.dumps(obj).encode() + b"\n"
+
+
+def _assert_finite(frames, fps: float) -> None:
+    for frame in frames:
+        assert math.isfinite(frame.index / fps)
+        for det in frame.detections:
+            assert all(math.isfinite(v) for v in (*det.bbox, det.score))
+        for _, pose in frame.poses:
+            assert all(math.isfinite(v) for triple in pose for v in triple)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(mutation=_mutations())
+@example(mutation=(3, "value", ("index",), str(2**63)))
+@example(mutation=(len(FUZZ_LINES), "value", ("index",), str(2**63)))
+@example(mutation=(2, "value", ("detections", 0, "score"), "-0.0"))
+def test_a_mutated_frame_line_fails_at_its_line_or_reads_as_finite_numbers(mutation):
+    line_no, kind, where, what = mutation
+    lines = list(FUZZ_LINES)
+    lines[line_no - 1] = _mutate(lines[line_no - 1], kind, where, what)
+    # An index raised to a valid larger one leaves every later line out of order.
+    raised_index = where == ("index",) and what == str(2**63)
+    try:
+        frames = list(parse_stream(lines))
+    except StreamFormatError as exc:
+        assert exc.line_no == line_no + raised_index, mutation
+        rejected = True
+    else:
+        assert kind == "value" and what in _NUMBERS, mutation
+        _assert_finite(frames, FUZZ_FPS)
+        rejected = False
+
+    parser = parse_stream(lines, strict=False)
+    kept = list(parser)
+    _assert_finite(kept, FUZZ_FPS)
+    if raised_index:
+        assert parser.skipped == len(lines) - line_no
+    elif rejected:
+        assert parser.skipped == 1
+        assert kept == FUZZ_FRAMES[: line_no - 2] + FUZZ_FRAMES[line_no - 1 :]
+    else:
+        assert parser.skipped == 0
+    assert analyze_stream(lines, FUZZ_SITE, strict=False).skipped == parser.skipped
