@@ -11,9 +11,19 @@ per-frame states an ideal-perception replay of the activity rules
 produces, the cycles that replay realizes, the machine roster, and the
 frames on which the safety rule must alert.
 
+Each frame's pose is built once, as the tuple of ten ``(x, y, 1.0)``
+triples in KEYPOINT_NAMES order that the stream carries: the truth
+replay steps on it, and the stream writer serializes it as it is when
+there is no keypoint noise.
+
 Randomness comes from ``random.Random`` (the Mersenne Twister documented
 by the standard library), so one seed yields one byte-identical stream
-on every platform.
+on every platform.  Each frame draws, in this order: the excavator's
+drop; if kept, its keypoint noise, an x then a y draw for each of
+body1-body4, bucket_joint, arm_joint, bucket_end1, bucket_end2,
+boom_cylinder and boom_base, then its bbox x and y noise; then a drop
+for each configured machine present.  A draw whose rate or sigma is
+zero is skipped.
 """
 
 from __future__ import annotations
@@ -59,14 +69,6 @@ DEFAULT_REGIONS = (
     Region(RegionLabel.DUMPING, ((1150, 300), (1700, 320), (1680, 760), (1120, 700))),
 )
 
-# Keypoint offsets around the body position and the probe point.
-_BODY_CORNERS = ((-60, -45), (60, -45), (60, 45), (-60, 45))
-_ARM_OFFSETS = {
-    "bucket_joint": (0.0, 0.0),
-    "arm_joint": (20.0, -14.0),
-    "bucket_end1": (-14.0, 12.0),
-    "bucket_end2": (12.0, 14.0),
-}
 # Orientation offsets of the carbody while facing each working area.
 _FACING_DIG = (0.0, 0.0)
 _FACING_DUMP = (30.0, -20.0)
@@ -81,6 +83,11 @@ MAX_FRAMES = 10_000_000
 _EXCAVATOR_SCORE = 0.97
 _MACHINE_SCORE = 0.9
 _BBOX_MARGIN = 30.0
+# The keypoint-noise draw order of the module docstring, as pose indices.
+_NOISE_ORDER = tuple(map(KEYPOINT_NAMES.index, (
+    "body1", "body2", "body3", "body4", "bucket_joint", "arm_joint",
+    "bucket_end1", "bucket_end2", "boom_cylinder", "boom_base",
+)))
 
 
 @dataclass(frozen=True)
@@ -256,8 +263,20 @@ def _build_script(config: ScenarioConfig, rng: random.Random) -> list[tuple[Acti
     """Phase list as (state, duration_s); starts with a lead-in swing.
 
     A script longer than MAX_FRAMES frames is a ConfigError, raised as
-    soon as the phases drawn so far pass it.
+    soon as the phases drawn so far pass it.  A ``cycle_count`` script
+    whose every phase at its ``min_s`` would pass it by more than one
+    cycle fails before any draw; the margin leaves summation rounding
+    no say, so no script the draws would allow is refused.
     """
+    if config.cycle_count is not None:
+        shortest_cycle = config.dig.min_s + 2 * config.swing.min_s + config.dump.min_s
+        _check_frame_count(
+            config.swing.min_s
+            + config.dig.min_s
+            + (config.cycle_count - 1) * shortest_cycle,
+            config.fps,
+            at_least=True,
+        )
     script: list[tuple[ActionState, float]] = [
         (ActionState.SWING_FOR_DIGGING, config.swing.sample(rng))
     ]
@@ -413,34 +432,6 @@ def _body_center(config: ScenarioConfig) -> Point:
     )
 
 
-def _pose_points(body_center: Point, offset: Point, probe: Point) -> dict[str, Point]:
-    bx = body_center[0] + offset[0]
-    by = body_center[1] + offset[1]
-    px, py = probe
-    points: dict[str, Point] = {}
-    for name, (cx, cy) in zip(("body1", "body2", "body3", "body4"), _BODY_CORNERS):
-        points[name] = (bx + cx, by + cy)
-    for name, (dx, dy) in _ARM_OFFSETS.items():
-        points[name] = (px + dx, py + dy)
-    points["boom_cylinder"] = (bx + (px - bx) * 0.45, by + (py - by) * 0.45 - 30.0)
-    points["boom_base"] = (bx + (px - bx) * 0.15, by + (py - by) * 0.15 - 20.0)
-    return points
-
-
-def _confident_pose(points: dict[str, Point]) -> Pose:
-    """Every keypoint at its point, fully confident."""
-    return tuple([(x, y, 1.0) for x, y in map(points.__getitem__, KEYPOINT_NAMES)])
-
-
-def _pose_bbox(points: dict[str, Point], config: ScenarioConfig) -> BBox:
-    xs, ys = zip(*points.values())
-    x1 = max(0.0, min(xs) - _BBOX_MARGIN)
-    y1 = max(0.0, min(ys) - _BBOX_MARGIN)
-    x2 = min(float(config.width), max(xs) + _BBOX_MARGIN)
-    y2 = min(float(config.height), max(ys) + _BBOX_MARGIN)
-    return (x1, y1, x2 - x1, y2 - y1)
-
-
 def _clamp_bbox(bbox: BBox, width: int, height: int) -> BBox:
     x, y, w, h = bbox
     x = min(max(x, 0.0), width - w)
@@ -458,12 +449,44 @@ class _Plan:
     rng_state: tuple  # the RNG right after the phase script was drawn
 
 
-def _geometry(config: ScenarioConfig, plan: _Plan) -> Iterator[tuple[Point, dict, BBox]]:
-    """Per frame: the pre-noise probe, pose points and pose bbox."""
-    body_center = _body_center(config)
-    for offset, probe in _excavator_path(plan.phases, plan.scripted_frames, config):
-        points = _pose_points(body_center, offset, probe)
-        yield probe, points, _pose_bbox(points, config)
+def _geometry(config: ScenarioConfig, plan: _Plan) -> Iterator[tuple[Point, Pose, BBox]]:
+    """Per frame: the pre-noise probe, the true pose and the pose bbox.
+
+    The pose is the stream's: the carbody corners around the body
+    position, the arm-side keypoints around the probe.  The bbox spans
+    it plus _BBOX_MARGIN, clamped to the image; each extreme is taken
+    over the keypoints that can hold it, since adding a larger offset
+    to the same float never gives a smaller sum.
+    """
+    center_x, center_y = _body_center(config)
+    width, height = float(config.width), float(config.height)
+    for (ox, oy), probe in _excavator_path(plan.phases, plan.scripted_frames, config):
+        bx = center_x + ox
+        by = center_y + oy
+        px, py = probe
+        left, right = bx - 60.0, bx + 60.0
+        top, bottom = by - 45.0, by + 45.0
+        end1_x, joint_x = px - 14.0, px + 20.0
+        joint_y, end2_y = py - 14.0, py + 14.0
+        cylinder_x, cylinder_y = bx + (px - bx) * 0.45, by + (py - by) * 0.45 - 30.0
+        base_x, base_y = bx + (px - bx) * 0.15, by + (py - by) * 0.15 - 20.0
+        pose = (
+            (end1_x, py + 12.0, 1.0),
+            (px + 12.0, end2_y, 1.0),
+            (px + 0.0, py + 0.0, 1.0),  # + 0.0 turns a -0.0 probe into 0.0
+            (joint_x, joint_y, 1.0),
+            (cylinder_x, cylinder_y, 1.0),
+            (base_x, base_y, 1.0),
+            (left, top, 1.0),
+            (right, top, 1.0),
+            (right, bottom, 1.0),
+            (left, bottom, 1.0),
+        )
+        x1 = max(0.0, min(left, end1_x, cylinder_x, base_x) - _BBOX_MARGIN)
+        y1 = max(0.0, min(top, joint_y, cylinder_y, base_y) - _BBOX_MARGIN)
+        x2 = min(width, max(right, joint_x, cylinder_x, base_x) + _BBOX_MARGIN)
+        y2 = min(height, max(bottom, end2_y, cylinder_y, base_y) + _BBOX_MARGIN)
+        yield probe, pose, (x1, y1, x2 - x1, y2 - y1)
 
 
 class _TruthReplay:
@@ -509,8 +532,8 @@ def _truth_pass(
 ) -> tuple[list[tuple[str, int, int]], list[int]]:
     """A _TruthReplay over the whole geometry, with no frame built."""
     truth = _TruthReplay(config, roster)
-    for f, (probe, points, bbox) in enumerate(_geometry(config, plan)):
-        truth.step(f, probe, _confident_pose(points), bbox)
+    for f, (probe, pose, bbox) in enumerate(_geometry(config, plan)):
+        truth.step(f, probe, pose, bbox)
     return truth.result()
 
 
@@ -611,29 +634,25 @@ class Simulation:
         """
         config = self.config
         noise = config.noise
+        sigma = noise.keypoint_sigma
         rng = random.Random()
         rng.setstate(self._plan.rng_state)
         truth = None
         if fill_truth and self._truth is None:
             truth = _TruthReplay(config, self._roster())
-        for f, (probe, points, bbox) in enumerate(_geometry(config, self._plan)):
-            pose = None  # the true pose, built only when something reads it
+        for f, (probe, pose, bbox) in enumerate(_geometry(config, self._plan)):
             if truth is not None:
-                pose = _confident_pose(points)
                 truth.step(f, probe, pose, bbox)
             detections: list[Detection] = []
             poses: list[tuple[int, Pose]] = []
             dropped = noise.drop_prob > 0 and rng.random() < noise.drop_prob
             if not dropped:
-                if noise.keypoint_sigma > 0:
-                    pose = None
-                    points = {
-                        name: (
-                            x + rng.gauss(0.0, noise.keypoint_sigma),
-                            y + rng.gauss(0.0, noise.keypoint_sigma),
-                        )
-                        for name, (x, y) in points.items()
-                    }
+                if sigma > 0:
+                    noisy = list(pose)
+                    for i in _NOISE_ORDER:
+                        x, y, _ = pose[i]
+                        noisy[i] = (x + rng.gauss(0.0, sigma), y + rng.gauss(0.0, sigma), 1.0)
+                    pose = tuple(noisy)
                 out_bbox = bbox
                 if noise.bbox_sigma > 0:
                     out_bbox = _clamp_bbox(
@@ -649,7 +668,7 @@ class Simulation:
                 detections.append(
                     Detection(MachineClass.EXCAVATOR, out_bbox, _EXCAVATOR_SCORE)
                 )
-                poses.append((0, _confident_pose(points) if pose is None else pose))
+                poses.append((0, pose))
             for spec in config.machines:
                 if not spec.present(f):
                     continue

@@ -640,6 +640,57 @@ def random_scenario(seed: int, noise: NoiseModel | None = None,
     )
 
 
+# --- the simulator's name-keyed pose build -----------------------------------
+# The simulator once built each pose as a name -> point dict and read the
+# stream pose and the bbox off it; kept here, as it was, as the oracle
+# its tuple build must equal bit for bit.
+
+SIM_BODY_CORNERS = ((-60, -45), (60, -45), (60, 45), (-60, 45))
+SIM_ARM_OFFSETS = {
+    "bucket_joint": (0.0, 0.0),
+    "arm_joint": (20.0, -14.0),
+    "bucket_end1": (-14.0, 12.0),
+    "bucket_end2": (12.0, 14.0),
+}
+SIM_BBOX_MARGIN = 30.0
+
+
+def sim_pose_points(body_center, offset, probe) -> dict:
+    bx = body_center[0] + offset[0]
+    by = body_center[1] + offset[1]
+    px, py = probe
+    points = {}
+    for name, (cx, cy) in zip(("body1", "body2", "body3", "body4"), SIM_BODY_CORNERS):
+        points[name] = (bx + cx, by + cy)
+    for name, (dx, dy) in SIM_ARM_OFFSETS.items():
+        points[name] = (px + dx, py + dy)
+    points["boom_cylinder"] = (bx + (px - bx) * 0.45, by + (py - by) * 0.45 - 30.0)
+    points["boom_base"] = (bx + (px - bx) * 0.15, by + (py - by) * 0.15 - 20.0)
+    return points
+
+
+def sim_confident_pose(points: dict) -> Pose:
+    """Every keypoint at its point, fully confident."""
+    return tuple([(x, y, 1.0) for x, y in map(points.__getitem__, KEYPOINT_NAMES)])
+
+
+def sim_pose_bbox(points: dict, config: ScenarioConfig):
+    xs, ys = zip(*points.values())
+    x1 = max(0.0, min(xs) - SIM_BBOX_MARGIN)
+    y1 = max(0.0, min(ys) - SIM_BBOX_MARGIN)
+    x2 = min(float(config.width), max(xs) + SIM_BBOX_MARGIN)
+    y2 = min(float(config.height), max(ys) + SIM_BBOX_MARGIN)
+    return (x1, y1, x2 - x1, y2 - y1)
+
+
+def sim_dict_geometry(config: ScenarioConfig, plan):
+    """Per frame: the probe, the points dict, the stream pose and the bbox."""
+    body_center = simulator._body_center(config)
+    for offset, probe in simulator._excavator_path(plan.phases, plan.scripted_frames, config):
+        points = sim_pose_points(body_center, offset, probe)
+        yield probe, points, sim_confident_pose(points), sim_pose_bbox(points, config)
+
+
 # --- config and truth files ---------------------------------------------------
 
 

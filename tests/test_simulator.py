@@ -266,6 +266,45 @@ def test_max_frames_bounds_a_cycle_count_script_exactly(monkeypatch):
         generate(config)
 
 
+def _counting_samples(monkeypatch):
+    draws = []
+    real_sample = DurationRange.sample
+
+    def sample(self, rng):
+        draws.append(1)
+        return real_sample(self, rng)
+
+    monkeypatch.setattr(DurationRange, "sample", sample)
+    return draws
+
+
+def test_a_huge_cycle_count_fails_before_any_phase_is_drawn(monkeypatch):
+    draws = _counting_samples(monkeypatch)
+    one_frame = DurationRange(100.0, 100.0)
+    config = ScenarioConfig(
+        cycle_count=10**9, fps=0.01, dig=one_frame, swing=one_frame, dump=one_frame
+    )
+    with pytest.raises(ConfigError, match="would be at least 3999999998 frames"):
+        generate(config)
+    assert draws == []
+
+
+def test_only_a_script_past_the_cap_by_over_a_cycle_fails_before_drawing(monkeypatch):
+    config = productivity_benchmark_config()
+    n_frames = len(generate(config).frames)
+    cycle_frames = round((8.0 + 3.2 + 8.1 + 3.2) * config.fps)
+    draws = _counting_samples(monkeypatch)
+    monkeypatch.setattr(simulator, "MAX_FRAMES", n_frames - cycle_frames + 1)
+    with pytest.raises(ConfigError, match="would be at least"):
+        generate(config)
+    assert len(draws) > 1
+    draws.clear()
+    monkeypatch.setattr(simulator, "MAX_FRAMES", n_frames - 2 * cycle_frames)
+    with pytest.raises(ConfigError, match="would be at least"):
+        generate(config)
+    assert draws == []
+
+
 _LONG_DIG = {"fps": 2500.0, "dig": DurationRange(1.0, 1.5e6)}
 
 
