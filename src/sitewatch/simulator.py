@@ -14,7 +14,8 @@ frames on which the safety rule must alert.
 Each frame's pose is built once, as the tuple of ten ``(x, y, 1.0)``
 triples in KEYPOINT_NAMES order that the stream carries: the truth
 replay steps on it, and the stream writer serializes it as it is when
-there is no keypoint noise.
+there is no keypoint noise.  A position repeated within a few frames
+reuses the pose built for it (see _geometry).
 
 Randomness comes from ``random.Random`` (the Mersenne Twister documented
 by the standard library), so one seed yields one byte-identical stream
@@ -83,6 +84,8 @@ MAX_FRAMES = 10_000_000
 _EXCAVATOR_SCORE = 0.97
 _MACHINE_SCORE = 0.9
 _BBOX_MARGIN = 30.0
+# The most positions _geometry remembers: two oscillation periods.
+_GEOMETRY_MEMO = 16
 # The keypoint-noise draw order of the module docstring, as pose indices.
 _NOISE_ORDER = tuple(map(KEYPOINT_NAMES.index, (
     "body1", "body2", "body3", "body4", "bucket_joint", "arm_joint",
@@ -220,10 +223,13 @@ class GroundTruth:
     alert_frames: list[int]
 
     def to_dict(self) -> dict:
+        states: list[str] = []
+        for state, first, last in self.runs:
+            states += [state.value] * (last - first + 1)
         return {
             "fps": self.fps,
-            "frames": sum(last - first + 1 for _, first, last in self.runs),
-            "states": [s.value for s, first, last in self.runs for _ in range(first, last + 1)],
+            "frames": len(states),
+            "states": states,
             "phases": [[s.value, a, b] for s, a, b in self.phases],
             "cycles": [
                 {
@@ -457,10 +463,22 @@ def _geometry(config: ScenarioConfig, plan: _Plan) -> Iterator[tuple[Point, Pose
     it plus _BBOX_MARGIN, clamped to the image; each extreme is taken
     over the keypoints that can hold it, since adding a larger offset
     to the same float never gives a smaller sum.
+
+    A position seen in the last few frames yields the pose and bbox
+    built for it then: dig and dump probes cycle over 8 offsets, and
+    idle frames are frozen.  At most _GEOMETRY_MEMO positions are kept.
+    A -0.0 coordinate finds the entry of 0.0, which builds the same pose
+    and bbox but not the same probe, so each frame yields its own probe.
     """
     center_x, center_y = _body_center(config)
     width, height = float(config.width), float(config.height)
-    for (ox, oy), probe in _excavator_path(plan.phases, plan.scripted_frames, config):
+    built: dict[tuple[Point, Point], tuple[Pose, BBox]] = {}
+    for offset, probe in _excavator_path(plan.phases, plan.scripted_frames, config):
+        seen = built.get((offset, probe))
+        if seen is not None:
+            yield probe, seen[0], seen[1]
+            continue
+        ox, oy = offset
         bx = center_x + ox
         by = center_y + oy
         px, py = probe
@@ -486,7 +504,11 @@ def _geometry(config: ScenarioConfig, plan: _Plan) -> Iterator[tuple[Point, Pose
         y1 = max(0.0, min(top, joint_y, cylinder_y, base_y) - _BBOX_MARGIN)
         x2 = min(width, max(right, joint_x, cylinder_x, base_x) + _BBOX_MARGIN)
         y2 = min(height, max(bottom, end2_y, cylinder_y, base_y) + _BBOX_MARGIN)
-        yield probe, pose, (x1, y1, x2 - x1, y2 - y1)
+        bbox = (x1, y1, x2 - x1, y2 - y1)
+        if len(built) >= _GEOMETRY_MEMO:
+            built.clear()
+        built[offset, probe] = pose, bbox
+        yield probe, pose, bbox
 
 
 class _TruthReplay:
@@ -640,13 +662,24 @@ class Simulation:
         truth = None
         if fill_truth and self._truth is None:
             truth = _TruthReplay(config, self._roster())
+        drop_prob = noise.drop_prob
+        # Detections are built without the Python-level __new__ frame, as
+        # the parser builds them; a machine's detection never changes, so
+        # it is built once.
+        machines = [
+            (spec, tuple.__new__(Detection, (spec.cls, spec.bbox, _MACHINE_SCORE)))
+            for spec in config.machines
+        ]
+        injected = [
+            (spec, tuple.__new__(Detection, (spec.cls, spec.bbox, _MACHINE_SCORE)))
+            for spec in self._injected
+        ]
         for f, (probe, pose, bbox) in enumerate(_geometry(config, self._plan)):
             if truth is not None:
                 truth.step(f, probe, pose, bbox)
-            detections: list[Detection] = []
-            poses: list[tuple[int, Pose]] = []
-            dropped = noise.drop_prob > 0 and rng.random() < noise.drop_prob
-            if not dropped:
+            if drop_prob > 0 and rng.random() < drop_prob:
+                detections = poses = ()
+            else:
                 if sigma > 0:
                     noisy = list(pose)
                     for i in _NOISE_ORDER:
@@ -665,20 +698,20 @@ class Simulation:
                         config.width,
                         config.height,
                     )
-                detections.append(
-                    Detection(MachineClass.EXCAVATOR, out_bbox, _EXCAVATOR_SCORE)
+                detections = (
+                    tuple.__new__(Detection, (MachineClass.EXCAVATOR, out_bbox, _EXCAVATOR_SCORE)),
                 )
-                poses.append((0, pose))
-            for spec in config.machines:
-                if not spec.present(f):
-                    continue
-                if noise.drop_prob > 0 and rng.random() < noise.drop_prob:
-                    continue
-                detections.append(Detection(spec.cls, spec.bbox, _MACHINE_SCORE))
-            for spec in self._injected:
-                if spec.present(f):
-                    detections.append(Detection(spec.cls, spec.bbox, _MACHINE_SCORE))
-            yield PerceptionFrame(f, tuple(detections), tuple(poses))
+                poses = ((0, pose),)
+            if machines or injected:
+                present = list(detections)
+                for spec, det in machines:
+                    if spec.present(f) and not (drop_prob > 0 and rng.random() < drop_prob):
+                        present.append(det)
+                for spec, det in injected:
+                    if spec.present(f):
+                        present.append(det)
+                detections = tuple(present)
+            yield PerceptionFrame(f, detections, poses)
         if truth is not None and self._truth is None:
             self._truth = _ground_truth(config, self._plan, truth.roster, *truth.result())
 

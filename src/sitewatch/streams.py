@@ -413,59 +413,77 @@ def serialize_header(header: StreamHeader) -> str:
     )
 
 
-# Bound on the keypoint texts one stream remembers; see serialize_frame.
-_KEYPOINT_TEXTS_LIMIT = 4096
+# Bound on the pose and box texts one stream remembers; see serialize_frame.
+_TEXTS_LIMIT = 512
 # Each slot's '"name":' key, after a comma from the second slot on.
 _KEYPOINT_KEYS = tuple(
     f'{"," if i else ""}"{name}":' for i, name in enumerate(KEYPOINT_NAMES)
 )
 
 
+# A text is remembered and served only for nonzero floats: 1 == 1.0 and
+# 0.0 == -0.0, but each pair prints differently, while two nonzero
+# floats that compare equal print alike.
+def _remember(texts: dict[tuple, str], value: tuple, text: str) -> str:
+    if len(texts) >= _TEXTS_LIMIT:
+        texts.clear()
+    texts[value] = text
+    return text
+
+
+def _bbox_json(bbox: BBox, texts: dict[tuple, str] | None) -> str:
+    x, y, w, h = bbox
+    exact = texts is not None and float is type(x) is type(y) is type(w) is type(h)
+    if exact and x and y and w and h:
+        return texts.get(bbox) or _remember(texts, bbox, f"[{x!r},{y!r},{w!r},{h!r}]")
+    return f"[{x!r},{y!r},{w!r},{h!r}]"
+
+
+def _nonzero_floats(pose: Pose) -> bool:
+    for x, y, conf in pose:
+        if not (float is type(x) is type(y) is type(conf) and x and y and conf):
+            return False
+    return True
+
+
+def _format_keypoints(pose: Pose) -> str:
+    return "".join(
+        [f"{key}[{x!r},{y!r},{conf!r}]" for key, (x, y, conf) in zip(_KEYPOINT_KEYS, pose)]
+    )
+
+
 def _keypoints_json(pose: Pose, texts: dict[tuple, str] | None) -> str:
-    fields = []
-    for key, kp in zip(_KEYPOINT_KEYS, pose):
-        x, y, conf = kp
-        # Only all-float triples are remembered, since 1 == 1.0 prints
-        # differently, and none with a zero, since 0.0 == -0.0 does too.
-        if texts is not None and float is type(x) is type(y) is type(conf):
-            text = texts.get(kp)
-            if text is None:
-                text = f"[{x!r},{y!r},{conf!r}]"
-                if x and y and conf:
-                    if len(texts) >= _KEYPOINT_TEXTS_LIMIT:
-                        texts.clear()
-                    texts[kp] = text
-        else:
-            text = f"[{x!r},{y!r},{conf!r}]"
-        fields.append(key)
-        fields.append(text)
-    return "".join(fields)
+    if texts is not None and _nonzero_floats(pose):
+        return texts.get(pose) or _remember(texts, pose, _format_keypoints(pose))
+    return _format_keypoints(pose)
 
 
-def serialize_frame(
-    frame: PerceptionFrame, keypoint_texts: dict[tuple, str] | None = None
-) -> str:
+def serialize_frame(frame: PerceptionFrame, texts: dict[tuple, str] | None = None) -> str:
     """Canonical single-line JSON; keypoints in declaration order.
 
     Built by hand: every field is a fixed name, an enum value, or a
     finite number, and float repr round-trips exactly, so this matches
     json.dumps output while skipping its per-frame overhead.
 
-    Float repr is most of that cost, and a stream repeats few distinct
-    keypoints (the 22,780-frame benchmark scenario has 2,626).  Given a
-    dict, kept for one stream, the keypoint texts already written are
-    looked up there instead of formatted again; the output is the same.
+    Float repr is most of that cost, and a noise-free stream repeats few
+    distinct values: the 22,780-frame benchmark scenario has 404
+    distinct poses and 404 distinct boxes.  Given a dict, kept for one
+    stream, the text of each pose and box already written is looked up
+    there instead of formatted again; the output is the same.  The dict
+    holds at most _TEXTS_LIMIT texts and is emptied when full, so its
+    memory is bounded whatever the stream.  (A box of four numbers never
+    equals a pose of ten triples, so both share it.)  Noisy poses never
+    repeat, so they are formatted every time.
     """
     parts = [f'{{"index":{frame.index},"detections":[']
     for i, det in enumerate(frame.detections):
-        x, y, w, h = det.bbox
         parts.append(
             f'{"," if i else ""}{{"class":"{det.cls.value}",'
-            f'"bbox":[{x!r},{y!r},{w!r},{h!r}],"score":{det.score!r}}}'
+            f'"bbox":{_bbox_json(det.bbox, texts)},"score":{det.score!r}}}'
         )
     parts.append('],"poses":[')
     for i, (det_idx, pose) in enumerate(frame.poses):
-        inner = _keypoints_json(pose, keypoint_texts)
+        inner = _keypoints_json(pose, texts)
         parts.append(f'{"," if i else ""}{{"det":{det_idx},"keypoints":{{{inner}}}}}')
     parts.append("]}")
     return "".join(parts)
@@ -475,9 +493,9 @@ def serialize_stream(
     header: StreamHeader, frames: Iterable[PerceptionFrame]
 ) -> Iterator[str]:
     yield serialize_header(header)
-    keypoint_texts: dict[tuple, str] = {}
+    texts: dict[tuple, str] = {}
     for frame in frames:
-        yield serialize_frame(frame, keypoint_texts)
+        yield serialize_frame(frame, texts)
 
 
 def write_stream(path, header: StreamHeader, frames: Iterable[PerceptionFrame]) -> int:

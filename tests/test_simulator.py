@@ -441,8 +441,8 @@ def _simulate_peak_bytes(tmp_path, n_frames):
 
 
 def test_simulate_memory_does_not_grow_with_frames(tmp_path, capsys):
-    # Enough frames that the serializer's bounded keypoint-text cache is
-    # full in both runs; what is left is the truth, a few bytes a frame.
+    # Enough frames that the serializer's bounded pose and box texts
+    # fill up in both runs; what is left is the truth, a few bytes a frame.
     n = 500
     # One run first, so one-time allocations (imports, caches,
     # specialized bytecode) land in neither measurement.

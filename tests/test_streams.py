@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from sitewatch.config import SiteConfig
 from sitewatch.errors import StreamFormatError
 from sitewatch.pipeline import analyze_stream
-from sitewatch.simulator import MachineSpec, ScenarioConfig, generate
+from sitewatch.simulator import MachineSpec, NoiseModel, ScenarioConfig, generate
 import sitewatch.streams as streams
 from sitewatch.streams import (
     ARM,
@@ -242,11 +242,11 @@ def test_serialized_frame_matches_json_dumps():
 
 def test_serialize_prints_equal_numbers_of_other_types_as_json_dumps_does():
     # 1 == 1.0 and 0.0 == -0.0, but each pair prints differently.  All
-    # frames share one dict of remembered keypoint texts, as in a stream,
-    # and go through twice, so a remembered text would be reused.
-    keypoint_texts = {}
-    det = make_detection("excavator")
-    variants = [
+    # frames share one dict of remembered pose and box texts, as in a
+    # stream, and every pose and box comes again in later frames, so a
+    # remembered text would be reused.
+    texts = {}
+    pose_variants = [
         (1.0, 2.0, 1.0),
         (1, 2, 1),
         (1.0, 2, 1.0),
@@ -255,25 +255,46 @@ def test_serialize_prints_equal_numbers_of_other_types_as_json_dumps_does():
         (1.0, -0.0, 0.0),
         (1.0, 0.0, -0.0),
     ]
-    for _ in range(2):
-        for x, y, conf in variants:
-            pose = tuple((x, y, conf) for _ in KEYPOINT_NAMES)
-            frame = PerceptionFrame(0, (det,), ((0, pose),))
-            expected = {
-                "index": 0,
-                "detections": [
-                    {"class": det.cls.value, "bbox": list(det.bbox), "score": det.score}
-                ],
-                "poses": [
-                    {
-                        "det": 0,
-                        "keypoints": {name: [x, y, conf] for name in KEYPOINT_NAMES},
-                    }
-                ],
-            }
-            line = json.dumps(expected, separators=(",", ":"))
-            assert serialize_frame(frame, keypoint_texts) == line
-            assert serialize_frame(frame) == line
+    bbox_variants = [
+        (10.0, 20.0, 200.0, 100.0),
+        (10, 20, 200, 100),
+        (-0.0, 20.0, 200.0, 100.0),
+        (0.0, 20.0, 200.0, 100.0),
+        (10.0, -0.0, 200.0, 100.0),
+        (10.0, 0.0, 200.0, 100.0),
+    ]
+    cases = [(triple, bbox) for triple in pose_variants for bbox in bbox_variants]
+    for index, (triple, bbox) in enumerate(cases + cases[::-1] + cases):
+        det = Detection(MachineClass.EXCAVATOR, bbox, 0.9)
+        pose = tuple(triple for _ in KEYPOINT_NAMES)
+        frame = PerceptionFrame(index, (det,), ((0, pose),))
+        expected = {
+            "index": index,
+            "detections": [{"class": "excavator", "bbox": list(bbox), "score": 0.9}],
+            "poses": [
+                {"det": 0, "keypoints": {name: list(triple) for name in KEYPOINT_NAMES}}
+            ],
+        }
+        line = json.dumps(expected, separators=(",", ":"))
+        assert serialize_frame(frame, texts) == line
+        assert serialize_frame(frame) == line
+    assert texts, "nothing was remembered, so nothing was tested"
+
+
+def test_serialize_memory_stays_bounded_on_a_noisy_stream():
+    # Noisy poses never repeat, so this stream has more distinct poses
+    # than the texts a stream may remember.
+    config = ScenarioConfig(
+        seed=5, duration_s=60.0, noise=NoiseModel(keypoint_sigma=1.0, bbox_sigma=2.0)
+    )
+    frames = list(generate(config).frames)
+    assert len({pose for frame in frames for _, pose in frame.poses}) > streams._TEXTS_LIMIT
+    texts = {}
+    most = 0
+    for frame in frames + frames[::-1]:
+        assert serialize_frame(frame, texts) == serialize_frame(frame)
+        most = max(most, len(texts))
+    assert 0 < most <= streams._TEXTS_LIMIT
 
 
 def test_parsed_pose_is_ten_float_triples():
