@@ -19,15 +19,17 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .errors import StreamFormatError
-from .geometry import (
+from .geometry import LocationLabel, Point, Region, classify_location
+from .streams import (
+    ARM,
+    BODY,
     BBox,
-    LocationLabel,
-    Point,
-    Region,
+    Pose,
     bbox_diagonal,
-    classify_location,
+    check_fields,
+    number_field,
+    parse_number,
 )
-from .streams import ARM, BODY, Pose, check_fields, number_field, parse_number
 
 
 class ActionState(str, Enum):

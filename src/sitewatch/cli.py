@@ -38,7 +38,6 @@ from .productivity import (
     write_cycles_csv,
     write_report_csv,
 )
-from .simulator import load_scenario, run_scenario
 from .streams import check_number, parse_number, read_stream
 
 
@@ -88,6 +87,9 @@ def _write_meta(result: AnalysisResult, rate_denominator: str, path) -> None:
 
 
 def cmd_simulate(args) -> int:
+    # Only simulate needs the simulator; analyze and watch never load it.
+    from .simulator import load_scenario, run_scenario
+
     config, inject = load_scenario(args.config)
     out = Path(args.out)
     stream_path = out / "stream.jsonl"

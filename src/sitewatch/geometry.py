@@ -1,4 +1,4 @@
-"""Planar geometry: working-area polygons, containment, and box overlap.
+"""Planar geometry: working-area polygons, containment, and pose location.
 
 Working areas are operator-supplied simple polygons in image coordinates.
 Containment uses even-odd ray casting with points on the boundary counted
@@ -8,13 +8,13 @@ into that area.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
+
+from .streams import ARM_JOINT, BUCKET_END1, BUCKET_END2, BUCKET_JOINT, Pose, is_number
 
 Point = tuple[float, float]
-BBox = tuple[float, float, float, float]
 
 _EPS = 1e-9
 
@@ -278,47 +278,3 @@ def classify_location(
     if point is None:
         return None
     return locate_point(point, regions)
-
-
-def bbox_iou(a: BBox, b: BBox) -> float:
-    """Intersection over union of two (x, y, w, h) boxes, in [0, 1].
-
-    All areas derive from the same corner coordinates so identical boxes
-    score exactly 1.0; the final clamp absorbs the last rounding ulp.
-    """
-    ax, ay, aw, ah = a
-    bx, by, bw, bh = b
-    # min and max are written out with the builtins' tie rules, since
-    # this runs for every same-class pair in soft-NMS and the tracker:
-    # min(p, q) is ``q if q < p else p``, max(p, q) is ``q if q > p else p``.
-    ax2 = ax + aw
-    bx2 = bx + bw
-    iw = (bx2 if bx2 < ax2 else ax2) - (bx if bx > ax else ax)
-    if iw <= 0:
-        return 0.0
-    ay2 = ay + ah
-    by2 = by + bh
-    ih = (by2 if by2 < ay2 else ay2) - (by if by > ay else ay)
-    if ih <= 0:
-        return 0.0
-    inter = iw * ih
-    union = (ax2 - ax) * (ay2 - ay) + (bx2 - bx) * (by2 - by) - inter
-    if union <= 0:
-        return 0.0
-    iou = inter / union
-    return iou if iou < 1.0 else 1.0
-
-
-def bbox_bottom_center(bbox: BBox) -> Point:
-    """Ground-contact proxy for a detection box."""
-    x, y, w, h = bbox
-    return (x + w / 2.0, y + h)
-
-
-def bbox_diagonal(bbox: BBox) -> float:
-    return math.hypot(bbox[2], bbox[3])
-
-
-# The pose layout belongs to streams, which imports this module's box
-# helpers; imported last, it finds them defined.
-from .streams import ARM_JOINT, BUCKET_END1, BUCKET_END2, BUCKET_JOINT, Pose, is_number

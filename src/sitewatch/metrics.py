@@ -12,8 +12,15 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence
 
-from .geometry import BBox, bbox_iou
-from .streams import KEYPOINT_NAMES, Pose, check_fields, check_number, number_field
+from .streams import (
+    KEYPOINT_NAMES,
+    BBox,
+    Pose,
+    bbox_iou,
+    check_fields,
+    check_number,
+    number_field,
+)
 
 DEFAULT_KAPPA = 0.5
 DEFAULT_OKS_THRESHOLDS = (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)

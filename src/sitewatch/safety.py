@@ -11,16 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .geometry import (
-    BBox,
-    LocationLabel,
-    Region,
-    RegionLabel,
-    bbox_bottom_center,
-    classify_location,
-    locate_point,
-)
-from .streams import MachineClass, Pose
+from .geometry import LocationLabel, Region, RegionLabel, classify_location, locate_point
+from .streams import BBox, MachineClass, Pose, bbox_bottom_center
 from .tracking import Track
 
 # Moving plant covered by the two-in-a-region rule; humans are handled by

@@ -39,25 +39,18 @@ from . import forking
 from .activity import ActionClassifier, ActionState, ActivityConfig, build_timeline
 from .config import CODECS, expect_keys, fields_from_dict, load_json_config
 from .errors import ConfigError
-from .geometry import (
-    BBox,
-    Point,
-    Region,
-    RegionLabel,
-    bbox_bottom_center,
-    locate_point,
-    polygon_centroid,
-    validate_regions,
-)
+from .geometry import Point, Region, RegionLabel, locate_point, polygon_centroid, validate_regions
 from .productivity import CycleRecord, detect_cycles
 from .safety import check_collision
 from .streams import (
     KEYPOINT_NAMES,
+    BBox,
     Detection,
     MachineClass,
     PerceptionFrame,
     Pose,
     StreamHeader,
+    bbox_bottom_center,
     check_fields,
     check_number,
     number_field,

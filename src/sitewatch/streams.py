@@ -16,9 +16,11 @@ indices) with the offending line number; lenient parsing skips and
 counts bad frame lines instead.
 
 In memory a pose is a plain tuple of ten (x, y, conf) float triples in
-KEYPOINT_NAMES order, the layout of COCO keypoint annotations.  This
-module owns that layout (ARM, BODY and the probe-candidate positions),
-and the parser is the only place a pose is checked.
+KEYPOINT_NAMES order, the layout of COCO keypoint annotations, and a box
+is an (x, y, w, h) float tuple.  This module owns both: the pose layout
+(ARM, BODY and the probe-candidate positions) and the box format with
+its helpers (overlap, ground point, diagonal).  The parser is the only
+place a pose or box is checked.
 """
 
 from __future__ import annotations
@@ -31,31 +33,6 @@ from enum import Enum
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import StreamFormatError
-from .geometry import BBox, bbox_iou
-
-__all__ = [
-    "ARM",
-    "ARM_JOINT",
-    "BODY",
-    "BUCKET_END1",
-    "BUCKET_END2",
-    "BUCKET_JOINT",
-    "KEYPOINT_NAMES",
-    "Detection",
-    "MachineClass",
-    "PerceptionFrame",
-    "Pose",
-    "StreamHeader",
-    "StreamParser",
-    "dedupe_frame",
-    "parse_stream",
-    "read_stream",
-    "serialize_frame",
-    "serialize_header",
-    "serialize_stream",
-    "soft_nms_indexed",
-    "write_stream",
-]
 
 
 class MachineClass(str, Enum):
@@ -95,6 +72,8 @@ ARM_JOINT = KEYPOINT_NAMES.index("arm_joint")
 
 # An excavator pose: ten (x, y, conf) triples in KEYPOINT_NAMES order.
 Pose = tuple[tuple[float, float, float], ...]
+# A detector box: pixel (x, y, w, h), origin at the top left.
+BBox = tuple[float, float, float, float]
 
 _KEYPOINT_SET = frozenset(KEYPOINT_NAMES)
 _CLASS_VALUES = {c.value: c for c in MachineClass}
@@ -106,6 +85,45 @@ class Detection(NamedTuple):
     cls: MachineClass
     bbox: BBox
     score: float
+
+
+def bbox_iou(a: BBox, b: BBox) -> float:
+    """Intersection over union of two (x, y, w, h) boxes, in [0, 1].
+
+    All areas derive from the same corner coordinates so identical boxes
+    score exactly 1.0; the final clamp absorbs the last rounding ulp.
+    """
+    ax, ay, aw, ah = a
+    bx, by, bw, bh = b
+    # min and max are written out with the builtins' tie rules, since
+    # this runs for every same-class pair in soft-NMS and the tracker:
+    # min(p, q) is ``q if q < p else p``, max(p, q) is ``q if q > p else p``.
+    ax2 = ax + aw
+    bx2 = bx + bw
+    iw = (bx2 if bx2 < ax2 else ax2) - (bx if bx > ax else ax)
+    if iw <= 0:
+        return 0.0
+    ay2 = ay + ah
+    by2 = by + bh
+    ih = (by2 if by2 < ay2 else ay2) - (by if by > ay else ay)
+    if ih <= 0:
+        return 0.0
+    inter = iw * ih
+    union = (ax2 - ax) * (ay2 - ay) + (bx2 - bx) * (by2 - by) - inter
+    if union <= 0:
+        return 0.0
+    iou = inter / union
+    return iou if iou < 1.0 else 1.0
+
+
+def bbox_bottom_center(bbox: BBox) -> tuple[float, float]:
+    """Ground-contact proxy for a detection box."""
+    x, y, w, h = bbox
+    return (x + w / 2.0, y + h)
+
+
+def bbox_diagonal(bbox: BBox) -> float:
+    return math.hypot(bbox[2], bbox[3])
 
 
 @dataclass(frozen=True, slots=True)
@@ -335,6 +353,11 @@ class StreamParser:
     The header is parsed eagerly, frames lazily.  In lenient mode
     malformed frame lines are skipped and tallied in ``skipped``; the
     header must be valid in either mode.  Blank lines are ignored.
+
+    A valid but too large index would put every later frame out of
+    order, so in lenient mode each frame is held until the next good
+    one: if that one's index falls below the held frame's, the held
+    frame is the bad one and is skipped instead.
     """
 
     def __init__(self, lines: Iterable[str | bytes], strict: bool = True):
@@ -368,22 +391,46 @@ class StreamParser:
             raise StreamFormatError(f"invalid JSON: {exc.msg}", self._line_no)
 
     def __iter__(self) -> Iterator[PerceptionFrame]:
+        if not self.strict:
+            yield from self._lenient_frames()
+            return
+        while True:
+            line = self._next_line()
+            if line is None:
+                return
+            frame = _parse_frame(self._loads(line), self.header, self._prev_index, self._line_no)
+            self._prev_index = frame.index
+            yield frame
+
+    def _lenient_frames(self) -> Iterator[PerceptionFrame]:
+        held = None
         while True:
             try:
                 # Inside the try: an undecodable line is a bad frame line.
                 line = self._next_line()
                 if line is None:
-                    return
+                    break
+                # Checked against the last frame released, not the held one.
                 frame = _parse_frame(
                     self._loads(line), self.header, self._prev_index, self._line_no
                 )
             except StreamFormatError:
-                if self.strict:
-                    raise
                 self.skipped += 1
                 continue
-            self._prev_index = frame.index
-            yield frame
+            if held is None or frame.index > held.index:
+                if held is not None:
+                    self._prev_index = held.index
+                    yield held
+                held = frame
+            else:
+                # Below the held index, the held frame jumped ahead and is
+                # the one dropped; at it, this frame repeats the index.
+                if frame.index < held.index:
+                    held = frame
+                self.skipped += 1
+        if held is not None:
+            self._prev_index = held.index
+            yield held
 
 
 def parse_stream(lines: Iterable[str | bytes], strict: bool = True) -> StreamParser:

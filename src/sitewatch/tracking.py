@@ -5,8 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .geometry import BBox, bbox_iou
-from .streams import Detection, MachineClass
+from .streams import BBox, Detection, MachineClass, bbox_iou
 
 
 @dataclass

@@ -11,9 +11,6 @@ from sitewatch.geometry import (
     LocationLabel,
     Region,
     RegionLabel,
-    bbox_bottom_center,
-    bbox_diagonal,
-    bbox_iou,
     classify_location,
     locate_point,
     point_in_polygon,
@@ -26,6 +23,7 @@ from sitewatch.geometry import (
     validate_polygon,
     validate_regions,
 )
+from sitewatch.streams import bbox_bottom_center, bbox_diagonal, bbox_iou
 
 from helpers import (
     DIG_SQUARE,

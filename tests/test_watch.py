@@ -165,6 +165,26 @@ def test_forked_watch_prints_the_same_bytes_as_in_process(tmp_path, case):
         assert b"line 3" in stderr
 
 
+@pytest.mark.parametrize("fork", [False, True])
+def test_lenient_watch_loses_only_a_frame_with_a_corrupt_index(tmp_path, fork):
+    # Frame 4's index is raised to a valid one that every later frame
+    # falls below, so only frame 4 is out of place.
+    clean = watch_stream({0, 1, 2, 6, 7, 9}, 10).encode()
+    corrupt = clean.replace(b'"index": 4,', b'"index": %d,' % 2**63)
+    assert corrupt != clean
+    alerts = []
+    for data in (clean, corrupt):
+        done = subprocess.run(
+            _watch_argv(tmp_path, "--lenient"), input=data, env=_env(fork),
+            capture_output=True, timeout=TIMEOUT_S,
+        )
+        assert done.returncode in (0, 1) and done.stderr == b"", done.stderr
+        records = [json.loads(line) for line in done.stdout.splitlines()]
+        alerts.append([r for r in records if r["type"] == "alert"])
+    assert [r["frame"] for r in alerts[0]] == [0, 1, 2, 6, 7, 9]
+    assert alerts[1] == alerts[0]
+
+
 def _read_records(fd, pending, until, timeout=TIMEOUT_S):
     """Read JSON lines from ``fd`` until ``until(records)``; fails on EOF
     or after ``timeout`` seconds.  ``pending`` holds a partial line."""
