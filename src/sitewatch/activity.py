@@ -284,12 +284,12 @@ class ActionTimeline:
         last = self.segments[-1].end_frame
         return (last - first + 1) / self.fps
 
-    def state_seconds(self, merge_swings: bool = True) -> dict[str, float]:
+    def state_seconds(self) -> dict[str, float]:
         """Total seconds per state; swing variants merge under 'swinging'."""
         out: dict[str, float] = {}
         for seg in self.segments:
             key = seg.state.value
-            if merge_swings and seg.state in (
+            if seg.state in (
                 ActionState.SWING_AFTER_DIGGING,
                 ActionState.SWING_FOR_DIGGING,
             ):

@@ -89,7 +89,6 @@ class StreamAnalyzer:
                     )
                     self._classifiers[track_id] = classifier
                 classifier.step(frame.index, pose, bbox)
-        frame_tracks.sort(key=lambda item: item[0].track_id)
         self.frame_count += 1
         alerts = self.monitor.step(frame.index, frame_tracks)
         self.alert_count += len(alerts)

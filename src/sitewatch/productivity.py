@@ -102,7 +102,7 @@ def build_report(
         bucket_volume_m3=bucket_volume_m3,
         bucket_full_rate=bucket_full_rate,
         productivity_m3_per_hr=productivity,
-        state_seconds=timeline.state_seconds(merge_swings=True),
+        state_seconds=timeline.state_seconds(),
         incomplete_cycle_s=incomplete,
     )
 

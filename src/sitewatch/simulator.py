@@ -504,52 +504,34 @@ def _geometry(config: ScenarioConfig, plan: _Plan) -> Iterator[tuple[Point, Pose
         yield probe, pose, bbox
 
 
-class _TruthReplay:
-    """The ideal-perception replay and the alert oracle, stepped per frame.
-
-    Draws no randomness.  The alert oracle locates the excavator (track
-    0) by its pre-noise probe, where the bucket joint sits, and each
-    roster machine by its bbox bottom-center while present.
-    """
-
-    def __init__(self, config: ScenarioConfig, roster: tuple[MachineSpec, ...]):
-        self._regions = config.regions
-        self._fps = config.fps
-        self._replay = ActionClassifier(config.regions, config.fps, config.activity)
-        self.roster = roster
-        self._roster_locations = [
-            locate_point(bbox_bottom_center(m.bbox), config.regions) for m in roster
-        ]
-        self._alert_frames: list[int] = []
-
-    def step(self, f: int, probe: Point, pose: Pose, bbox: BBox) -> None:
-        """Step frame ``f`` of the geometry, ``pose`` being its true pose."""
-        self._replay.step(f, pose, bbox)
-        if self.roster:
-            locations = {0: locate_point(probe, self._regions)}
-            classes = {0: MachineClass.EXCAVATOR}
-            for i, spec in enumerate(self.roster):
-                if spec.present(f):
-                    locations[i + 1] = self._roster_locations[i]
-                    classes[i + 1] = spec.cls
-            if check_collision(locations, classes, f, self._fps):
-                self._alert_frames.append(f)
-
-    def result(self) -> tuple[list[tuple[str, int, int]], list[int]]:
-        """The replay's ``(state value, first, last)`` runs and the alert
-        frames: plain data that marshal can send."""
-        runs = [(state.value, first, last) for state, first, last in self._replay.runs]
-        return runs, self._alert_frames
-
-
 def _truth_pass(
     config: ScenarioConfig, plan: _Plan, roster: tuple[MachineSpec, ...]
 ) -> tuple[list[tuple[str, int, int]], list[int]]:
-    """A _TruthReplay over the whole geometry, with no frame built."""
-    truth = _TruthReplay(config, roster)
+    """The ideal-perception replay and the alert oracle, building no frame.
+
+    Draws no randomness.  The alert oracle locates the excavator (track
+    0) by its pre-noise probe, where the bucket joint sits, and each
+    roster machine by its bbox bottom-center while present.  Returns the
+    replay's ``(state value, first, last)`` runs and the alert frames:
+    plain data that marshal can send.
+    """
+    regions, fps = config.regions, config.fps
+    replay = ActionClassifier(regions, fps, config.activity)
+    roster_locations = [locate_point(bbox_bottom_center(m.bbox), regions) for m in roster]
+    alert_frames: list[int] = []
     for f, (probe, pose, bbox) in enumerate(_geometry(config, plan)):
-        truth.step(f, probe, pose, bbox)
-    return truth.result()
+        replay.step(f, pose, bbox)
+        if roster:
+            locations = {0: locate_point(probe, regions)}
+            classes = {0: MachineClass.EXCAVATOR}
+            for i, spec in enumerate(roster):
+                if spec.present(f):
+                    locations[i + 1] = roster_locations[i]
+                    classes[i + 1] = spec.cls
+            if check_collision(locations, classes, f, fps):
+                alert_frames.append(f)
+    runs = [(state.value, first, last) for state, first, last in replay.runs]
+    return runs, alert_frames
 
 
 def _ground_truth(
@@ -581,14 +563,13 @@ class Simulation:
     No frame is stored.  ``frames`` is a sized view whose every iteration
     builds the frames afresh from the RNG state saved right after the
     phase script was drawn, so each pass yields the same frames and
-    ``write`` holds one frame at a time.  ``truth`` comes from the
-    ideal-perception replay and the alert oracle, which draw no
-    randomness.  Until ``truth`` is set, a pass over the frames steps
-    them on the way and sets it when it reaches the end; reading
-    ``truth`` before any such pass runs them alone, building no frame.
-    ``write`` runs them in a forked child while this process writes
-    the stream, where ``forking.can_fork()``; otherwise the one pass
-    that writes the stream fills ``truth``, with the same bytes written.
+    ``write`` holds one frame at a time.  ``truth`` comes only from its
+    own pass (_truth_pass: the ideal-perception replay and the alert
+    oracle), which draws no randomness and builds no frame; it runs on
+    the first read of ``truth``, and its result is kept.  A pass over
+    the frames never computes it.  ``write`` runs it in a forked child
+    while this process writes the stream, where ``forking.can_fork()``;
+    otherwise it runs after the stream is written, with the same bytes.
     """
 
     def __init__(
@@ -625,7 +606,7 @@ class Simulation:
         else:
             config, plan, roster = self.config, self._plan, self._roster()
             with forking.start_child(lambda send: _truth_pass(config, plan, roster)) as child:
-                write_stream(stream_path, self.header, self._stream_pass(fill_truth=False))
+                write_stream(stream_path, self.header, self.frames)
                 runs, alert_frames = child.wait()
             self._truth = _ground_truth(config, plan, roster, runs, alert_frames)
         if truth_path is not None:
@@ -641,20 +622,13 @@ class Simulation:
             for m in self.config.machines
         ) + self._injected
 
-    def _stream_pass(self, fill_truth: bool = True) -> Iterator[PerceptionFrame]:
-        """The stream pass: build each frame, drawing its noise, and yield it.
-
-        With ``fill_truth``, while ``truth`` is unset, also step a
-        _TruthReplay on the same geometry and set ``truth`` at the end.
-        """
+    def _stream_pass(self) -> Iterator[PerceptionFrame]:
+        """The stream pass: build each frame, drawing its noise, and yield it."""
         config = self.config
         noise = config.noise
         sigma = noise.keypoint_sigma
         rng = random.Random()
         rng.setstate(self._plan.rng_state)
-        truth = None
-        if fill_truth and self._truth is None:
-            truth = _TruthReplay(config, self._roster())
         drop_prob = noise.drop_prob
         # Detections are built without the Python-level __new__ frame, as
         # the parser builds them; a machine's detection never changes, so
@@ -667,9 +641,7 @@ class Simulation:
             (spec, tuple.__new__(Detection, (spec.cls, spec.bbox, _MACHINE_SCORE)))
             for spec in self._injected
         ]
-        for f, (probe, pose, bbox) in enumerate(_geometry(config, self._plan)):
-            if truth is not None:
-                truth.step(f, probe, pose, bbox)
+        for f, (_, pose, bbox) in enumerate(_geometry(config, self._plan)):
             if drop_prob > 0 and rng.random() < drop_prob:
                 detections = poses = ()
             else:
@@ -705,8 +677,6 @@ class Simulation:
                         present.append(det)
                 detections = tuple(present)
             yield PerceptionFrame(f, detections, poses)
-        if truth is not None and self._truth is None:
-            self._truth = _ground_truth(config, self._plan, truth.roster, *truth.result())
 
 
 class SimulatedFrames:

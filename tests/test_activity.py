@@ -430,9 +430,6 @@ def test_state_seconds_merges_swing_variants():
     timeline = build_timeline(runs_of(states), 25.0)
     seconds = timeline.state_seconds()
     assert seconds == {"digging": 1.0, "swinging": 2.0, "dumping": 1.0}
-    split = timeline.state_seconds(merge_swings=False)
-    assert split["swing_after_digging"] == 1.0
-    assert split["swing_for_digging"] == 1.0
 
 
 def test_timeline_csv_round_trip(tmp_path):

@@ -2,7 +2,8 @@
 
 The forced-fork and forced in-process writes must give the same bytes
 and the same truth; a failure on either side of the fork must reach the
-caller, with no child left behind.
+caller, with no child left behind.  Only a read of ``truth`` replays it
+in-process, once; no pass over the frames does.
 """
 
 import json
@@ -84,40 +85,40 @@ def test_write_without_a_truth_path_forks_nothing(tmp_path, monkeypatch):
     assert (tmp_path / "stream.jsonl").read_text() == "".join(f"{line}\n" for line in sim.lines())
 
 
-def _counting_geometry(monkeypatch):
-    passes = []
-    real_geometry = simulator._geometry
+def _counting_steps(monkeypatch):
+    steps = []
 
-    def geometry(config, plan):
-        passes.append(1)
-        return real_geometry(config, plan)
+    class CountingClassifier(simulator.ActionClassifier):
+        def step(self, *args):
+            steps.append(1)
+            return super().step(*args)
 
-    monkeypatch.setattr(simulator, "_geometry", geometry)
-    return passes
+    monkeypatch.setattr(simulator, "ActionClassifier", CountingClassifier)
+    return steps
 
 
-def test_an_in_process_write_fills_the_truth_in_its_one_pass(tmp_path, monkeypatch):
-    want = _sim(2).truth
-    passes = _counting_geometry(monkeypatch)
-    monkeypatch.setattr(forking, "can_fork", lambda: False)
+def test_only_a_read_of_the_truth_replays_it_and_only_once(tmp_path, monkeypatch):
+    forked_truth = _write(tmp_path, monkeypatch, 2, fork=True)[2]
+    steps = _counting_steps(monkeypatch)
+    truth_passes = []
+    truth_pass = simulator._truth_pass
+
+    def counting_truth_pass(config, plan, roster):
+        truth_passes.append(1)
+        return truth_pass(config, plan, roster)
+
+    monkeypatch.setattr(simulator, "_truth_pass", counting_truth_pass)
     sim = _sim(2)
-    sim.write(tmp_path / "stream.jsonl", tmp_path / "ground_truth.json")
-    assert sim.truth == want
-    assert len(passes) == 1
-
-
-def test_a_finished_pass_over_the_lines_fills_the_truth(monkeypatch):
-    want = _sim(3).truth
-    passes = _counting_geometry(monkeypatch)
-    sim = _sim(3)
-    lines = sim.lines()
-    next(lines)
-    next(lines)
-    assert sim._truth is None, "an unfinished pass sets no truth"
-    for _ in lines:
+    for _ in sim.frames:
         pass
-    assert sim.truth == want
-    assert len(passes) == 1
+    for _ in sim.lines():
+        pass
+    sim.write(tmp_path / "stream.jsonl")
+    assert (len(steps), len(truth_passes)) == (0, 0)
+    assert sim.truth == forked_truth
+    assert (len(steps), len(truth_passes)) == (len(sim.frames), 1)
+    assert sim.truth is sim.truth
+    assert len(truth_passes) == 1
 
 
 def _forced(monkeypatch, truth_pass):
