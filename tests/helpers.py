@@ -17,6 +17,7 @@ from pathlib import Path
 from sitewatch import config, simulator
 from sitewatch.activity import ActionState, ActivityConfig
 from sitewatch.config import SiteConfig
+from sitewatch.errors import StreamFormatError
 from sitewatch.geometry import Region, RegionLabel
 from sitewatch.productivity import CycleRecord
 from sitewatch.simulator import (
@@ -35,6 +36,8 @@ from sitewatch.streams import (
     PerceptionFrame,
     Pose,
     StreamHeader,
+    StreamParser,
+    _parse_frame,
 )
 
 # Axis-aligned squares keep containment reasoning trivial in unit tests.
@@ -198,6 +201,36 @@ _DET = '{"class":"excavator","bbox":[10.0,20.0,200.0,100.0],"score":0.9}'
 
 def frame_line(index=0, detections="[]", poses="[]") -> str:
     return f'{{"index":{index},"detections":{detections},"poses":{poses}}}'
+
+
+class MemoFreeParser(StreamParser):
+    """The stream parser with every frame line decoded and checked in full.
+
+    The oracle for the parser's memo of repeated frame bodies: the same
+    strict and lenient loops, but each line is
+    ``_parse_frame(json.loads(line))``.
+    """
+
+    def _frame(self, line: str) -> PerceptionFrame:
+        return _parse_frame(self._loads(line), self.header, self._prev_index, self._line_no)
+
+
+def parse_outcome(parser_class, lines, strict: bool = True):
+    """Everything a parse shows: (frames, skipped, (message, line) or None).
+
+    The frames are compared by repr, which tells 1 from 1.0 and 0.0
+    from -0.0.
+    """
+    frames = []
+    parser = None
+    error = None
+    try:
+        parser = parser_class(lines, strict=strict)
+        for frame in parser:
+            frames.append(frame)
+    except StreamFormatError as exc:
+        error = (str(exc), exc.line_no)
+    return repr(frames), parser and parser.skipped, error
 
 
 def watch_stream(alert_frames, total):

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -36,12 +37,14 @@ from sitewatch.streams import (
 from helpers import (
     _H,
     MALFORMED_STREAMS,
+    MemoFreeParser,
     frame_line,
     keypoint,
     make_detection,
     make_header,
     make_pose,
     naive_soft_nms,
+    parse_outcome,
     random_detections,
     random_stream,
 )
@@ -454,6 +457,171 @@ def test_dedupe_frame_returns_an_unchanged_frame_as_it_is():
     # A lone box below the score floor is dropped with its pose.
     low = PerceptionFrame(6, (make_detection("excavator", score=0.0005),), ((0, pose),))
     assert dedupe_frame(low) == PerceptionFrame(6, (), ())
+
+
+# --- the parser's memo of repeated frame bodies ---------------------------------
+
+_EXCAVATOR = '[{"class":"excavator","bbox":[10.0,20.0,200.0,100.0],"score":0.9}]'
+_EXCAVATOR_POSE = (
+    '[{"det":0,"keypoints":{'
+    + ",".join(f'"{name}":[{i}.5,20.25,0.75]' for i, name in enumerate(KEYPOINT_NAMES))
+    + "}}]"
+)
+_HUMAN = '[{"class":"human","bbox":[1.0,2.0,30.0,40.0],"score":0.5}]'
+# A frame line is '{"index":' + index token + tail.
+_TAILS = {
+    "excavator": frame_line("", _EXCAVATOR, _EXCAVATOR_POSE)[9:],
+    "human": frame_line("", _HUMAN)[9:],
+    "empty": frame_line("")[9:],
+    "spaced": ', "detections": [], "poses": [] }',
+    "second_index": ',"detections":[],"poses":[],"index":7}',
+    "escaped_index": r',"detections":[],"poses":[],"\u0069ndex":7}',
+    "unknown_field": ',"detections":[],"poses":[],"zoom":1}',
+    "unknown_class": frame_line("", '[{"class":"robot","bbox":[1.0,2.0,3.0,4.0],"score":0.5}]')[9:],
+    "truncated": ',"detections":[],"poses":[]',
+}
+
+
+def _line(index, tail: str) -> str:
+    return f'{{"index":{index}{_TAILS[tail]}'
+
+
+_MEMO_STREAMS = {
+    "repeated_tails_rising": [_H]
+    + [_line(i, ("excavator", "human", "empty")[i % 3]) for i in range(12)],
+    "repeated_second_index_key": [_H] + [_line(i, "second_index") for i in range(1, 5)],
+    "escaped_index_key": [_H] + [_line(i, "escaped_index") for i in range(1, 5)],
+    "leading_zero_after_cached": [_H]
+    + [_line(i, "excavator") for i in (0, 1, 2)]
+    + [_line("03", "excavator"), _line(4, "excavator")],
+    "non_ascii_digits": [_H]
+    + [_line(i, "human") for i in (1, 2, 3)]
+    + [_line(d, "human") for d in ("٤", "４", "²")],
+    "long_indices": [_H]
+    + [_line(i, "human") for i in (1, 2, 10**14, 10**15 - 1, 10**15, 10**15 + 1)],
+    "hit_not_increasing": [_H] + [_line(i, "excavator") for i in (1, 2, 3, 3, 2, 4)],
+    "hit_time_not_finite": ['{"fps":1e-300,"width":1920,"height":1080,"source":"cam"}']
+    + [_line(i, "empty") for i in (1, 2, 3, 10**10, 4)],
+}
+
+
+@pytest.mark.parametrize("as_bytes", [False, True], ids=["str", "bytes"])
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
+@pytest.mark.parametrize("name", sorted(_MEMO_STREAMS))
+def test_memo_parses_as_a_full_parse_of_every_line(name, strict, as_bytes):
+    lines = _MEMO_STREAMS[name]
+    if as_bytes:
+        lines = [line.encode() + b"\n" for line in lines]
+    expected = parse_outcome(MemoFreeParser, lines, strict)
+    assert parse_outcome(streams.StreamParser, lines, strict) == expected
+    assert expected[2] is None or strict
+
+
+# Index tokens besides the running index: invalid JSON, not an integer,
+# out of order, or too long to split off.
+_INDEX_TOKENS = ["0", "00", "07", "-1", "1.0", "1e1", "٣", "²", " 5", "true",
+                 "999999999999999", "1000000000000000"]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    entries=st.lists(
+        st.tuples(
+            st.one_of(st.integers(-1, 3), st.sampled_from(_INDEX_TOKENS)),
+            st.sampled_from(sorted(_TAILS)),
+        ),
+        max_size=24,
+    ),
+    fps=st.sampled_from(["25.0", "1e-300"]),
+    strict=st.booleans(),
+    as_bytes=st.booleans(),
+)
+def test_memo_matches_a_full_parse_on_drawn_streams(entries, fps, strict, as_bytes):
+    # An integer entry steps the running index; a token replaces it once.
+    lines = [f'{{"fps":{fps},"width":1920,"height":1080,"source":"cam"}}']
+    index = 0
+    for token, tail in entries:
+        if isinstance(token, int):
+            index += token
+            token = index
+        lines.append(_line(token, tail))
+    if as_bytes:
+        lines = [line.encode() for line in lines]
+    expected = parse_outcome(MemoFreeParser, lines, strict)
+    assert parse_outcome(streams.StreamParser, lines, strict) == expected
+
+
+def _same_values(a, b) -> bool:
+    """Equal, of the same type, at every level."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_same_values, a, b))
+    return repr(a) == repr(b)
+
+
+def test_a_frame_served_from_the_memo_equals_a_freshly_parsed_one():
+    lines = [_H] + [_line(i, "excavator") for i in range(3)]
+    parser = parse_stream(lines)
+    frames = list(parser)
+    assert _TAILS["excavator"] in parser._memo
+    # The third sighting shares what the second one parsed.
+    assert frames[2].poses is frames[1].poses
+    assert frames[2].detections is frames[1].detections
+    (fresh,) = parse_stream([_H, lines[3]])
+    served = frames[2]
+    assert type(served) is type(fresh)
+    for name in ("index", "detections", "poses"):
+        assert _same_values(getattr(served, name), getattr(fresh, name)), name
+
+
+def _noisy_lines(n_frames: int) -> list[str]:
+    config = ScenarioConfig(
+        seed=5, duration_s=n_frames / 25.0 + 1.0,
+        noise=NoiseModel(keypoint_sigma=1.0, bbox_sigma=2.0),
+    )
+    return list(itertools.islice(generate(config).lines(), n_frames + 1))
+
+
+def _parse_peak(lines) -> tuple[streams.StreamParser, int]:
+    """The exhausted parser and the peak traced memory while parsing."""
+    tracemalloc.start()
+    try:
+        parser = parse_stream(lines)
+        for _frame in parser:
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return parser, peak
+
+
+def test_memo_admits_nothing_from_bodies_that_never_repeat():
+    lines = _noisy_lines(8000)
+    assert len(set(line[line.index(","):] for line in lines[1:])) == 8000
+    short, short_peak = _parse_peak(lines[:2001])
+    long, long_peak = _parse_peak(lines)
+    assert short._memo == {} and long._memo == {}
+    assert 0 < len(long._seen) <= streams._TEXTS_LIMIT
+    assert abs(long_peak - short_peak) < 64 * 1024, (short_peak, long_peak)
+
+
+def test_memo_keeps_at_most_the_limit_on_many_repeated_bodies():
+    n_tails = streams._TEXTS_LIMIT + 88
+    bodies = [
+        frame_line("", f'[{{"class":"human","bbox":[{i}.5,2.0,30.0,40.0],"score":0.5}}]')[9:]
+        for i in range(n_tails)
+    ]
+    # Each body twice in a row, so it is admitted at once; all of them twice.
+    order = [i for i in range(n_tails) for _ in range(2)] * 2
+    lines = [_H] + [f'{{"index":{i}{bodies[b]}' for i, b in enumerate(order)]
+    parser = parse_stream(lines)
+    most_memo = most_seen = 0
+    for _frame in parser:
+        most_memo = max(most_memo, len(parser._memo))
+        most_seen = max(most_seen, len(parser._seen))
+    assert most_memo == most_seen == streams._TEXTS_LIMIT
+    assert parse_outcome(streams.StreamParser, lines) == parse_outcome(MemoFreeParser, lines)
 
 
 # --- stream-line fuzz -----------------------------------------------------------
