@@ -19,7 +19,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .errors import StreamFormatError
-from .geometry import LocationLabel, Point, Region, classify_location
+from .geometry import LocationLabel, Region, classify_location
 from .streams import (
     ARM,
     BODY,
@@ -46,71 +46,66 @@ class ActionState(str, Enum):
 _SWING_FOR_PREDECESSORS = (ActionState.DUMPING, ActionState.SWING_FOR_DIGGING)
 
 
-class MotionWindow:
-    """Rolling window of recent keypoint positions for one track.
+def _step_totals(pose: Pose, last: Pose) -> tuple[float, float]:
+    """The arm and the body displacement totals from ``last`` to ``pose``.
 
-    Holds positions for up to ``size`` consecutive frames; pushing a
-    non-consecutive frame index resets the window first, so detection
-    gaps never masquerade as large displacements.  Each push measures
-    only the new step's per-point displacements and keeps them, so
-    ``motion`` sums stored values instead of re-measuring the window.
+    Each is the four ``math.hypot`` distances of its keypoints added in
+    keypoint order, read straight from the triples at the ARM (0..3)
+    and BODY (6..9) positions.  ``math.dist(p, q)`` rounds exactly as
+    ``hypot(qx - px, qy - py)``, so every distance equals the exact
+    path's.
     """
-
-    def __init__(self, size: int):
-        if size < 2:
-            raise ValueError("window size must be at least 2")
-        self.size = size
-        self._last_frame: int | None = None
-        self._last_points: tuple[Point, ...] | None = None
-        # Per-point displacements between consecutive entries, oldest
-        # step first; the window holds one entry more than steps.
-        self._steps: deque[tuple[float, ...]] = deque(maxlen=size - 1)
-
-    def __len__(self) -> int:
-        return 0 if self._last_points is None else len(self._steps) + 1
-
-    def reset(self) -> None:
-        self._last_frame = None
-        self._last_points = None
-        self._steps.clear()
-
-    def push(self, frame_index: int, points: Sequence[Point]) -> None:
-        points = tuple(points)
-        last = self._last_points
-        if last is not None and len(points) != len(last):
-            raise ValueError("inconsistent keypoint count pushed into window")
-        if self._last_frame is not None and frame_index != self._last_frame + 1:
-            self.reset()
-        elif last is not None:
-            # math.dist(p, q) rounds exactly as hypot(qx - px, qy - py).
-            self._steps.append(tuple(map(math.dist, last, points)))
-        self._last_frame = frame_index
-        self._last_points = points
-
-    def motion(self) -> float | None:
-        """Mean per-frame displacement, or None while underfull.
-
-        The stored displacements are added one at a time, step by step
-        and point by point, so the sum rounds exactly as a fresh pass
-        over the window would.
-        """
-        steps = self._steps
-        if not steps:
-            return None
-        total = 0.0
-        for step in steps:
-            for d in step:
-                total += d
-        return total / (len(steps) * len(steps[0]))
+    (a0x, a0y, _), (a1x, a1y, _), (a2x, a2y, _), (a3x, a3y, _), _, _, (
+        b0x, b0y, _), (b1x, b1y, _), (b2x, b2y, _), (b3x, b3y, _) = pose
+    (p0x, p0y, _), (p1x, p1y, _), (p2x, p2y, _), (p3x, p3y, _), _, _, (
+        q0x, q0y, _), (q1x, q1y, _), (q2x, q2y, _), (q3x, q3y, _) = last
+    hypot = math.hypot
+    arm = (
+        hypot(a0x - p0x, a0y - p0y)
+        + hypot(a1x - p1x, a1y - p1y)
+        + hypot(a2x - p2x, a2y - p2y)
+        + hypot(a3x - p3x, a3y - p3y)
+    )
+    body = (
+        hypot(b0x - q0x, b0y - q0y)
+        + hypot(b1x - q1x, b1y - q1y)
+        + hypot(b2x - q2x, b2y - q2y)
+        + hypot(b3x - q3x, b3y - q3y)
+    )
+    return arm, body
 
 
-def is_still(motion: float, threshold: float) -> bool:
-    """Strictly below the threshold counts as still.
+# The unit roundoff of a float, u = 2**-53.
+_U = 2.0**-53
 
-    ActivityConfig holds the threshold positive, and a bbox diagonal
-    that scales it is positive too, so it is not checked here.
+
+def _motion_limits(threshold: float, m: int) -> tuple[float, float]:
+    """``(lo, hi)`` for a summed total T of ``m`` distances: T < lo is
+    still and T > hi is moving, as the exact mean would decide.
+
+    The exact decision is ``fl(E / m) < threshold``, where E adds the
+    same m distances (each >= 0) one at a time in another order.  T and
+    E are both recursive sums of them, so each lies within
+    g = γ(m-1) = (m-1)u / (1 - (m-1)u) of their exact sum S, relative
+    to S (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., 2002, §4.2), and E/T lies in [(1-g)/(1+g), (1+g)/(1-g)], about
+    1 ± 2(m-1)u.  L = fl(threshold * m), and lo and hi themselves, each
+    round once more, by at most u.  Rounding is monotone and the
+    threshold is a float, so the quotient rounds below it when E/m <
+    threshold(1 - 2u), and not below it when E/m >= threshold.  With
+    η = (2m + 8)u, lo = L(1 - η) and hi = L(1 + η), T < lo gives the
+    first and T > hi the second: to first order the one needs
+    η >= 2(m-1)u + 4u and the other η >= 2(m-1)u + 2u.  The 6u to spare
+    covers the second-order terms, about 2(mu)**2, while m <= 2**26.
+    The argument also needs the product and the quotient in the normal
+    range, so outside 2**-900 < L < 2**900, or for a larger m, every
+    total takes the exact path.
     """
-    return motion < threshold
+    limit = threshold * m
+    if not (2.0**-900 < limit < 2.0**900 and m <= 2**26):
+        return 0.0, math.inf
+    slack = limit * ((2 * m + 8) * _U)
+    return limit - slack, limit + slack
 
 
 def step_state(
@@ -167,6 +162,14 @@ class ActivityConfig:
 class ActionClassifier:
     """Per-track action state machine over frame-ordered pose observations.
 
+    Motion is the mean frame-to-frame displacement of the four body (and
+    the four arm) keypoints over the last ``motion_window`` consecutive
+    poses; strictly below the stillness threshold counts as still.  Each
+    step adds four distances to one arm and one body total and keeps
+    them, and the summed totals are compared with ``threshold * n``.
+    Only a sum within the rounding bound of ``_motion_limits`` recomputes
+    the exact mean from the kept poses.
+
     The state history is kept as runs, ``[state, first_frame,
     last_frame]``, each over consecutive observed frames in one state,
     so it grows with state changes and observation gaps, not frames.
@@ -186,17 +189,43 @@ class ActionClassifier:
         self.state = ActionState.UNKNOWN
         self.runs: list[list] = []
         self.observed_frames = 0
-        self._body = MotionWindow(self.config.motion_window)
-        self._arm = MotionWindow(self.config.motion_window)
+        window = self.config.motion_window
+        # The last consecutive poses, oldest first, and the (arm, body)
+        # totals of each step between them.
+        self._poses: deque[Pose] = deque(maxlen=window)
+        self._steps: deque[tuple[float, float]] = deque(maxlen=window - 1)
+        # (threshold, lo, hi) by step count, in "px" mode.
+        self._px_limits: dict[int, tuple[float, float, float]] = {}
         self._still_frames = 0
         self._last_frame: int | None = None
 
-    def _threshold(self, bbox: BBox | None) -> float:
-        if self.config.stillness_mode == "px":
-            return self.config.stillness_threshold
+    def _limits(self, bbox: BBox | None, steps: int) -> tuple[float, float, float]:
+        """The threshold and ``_motion_limits`` for ``steps`` kept steps."""
+        config = self.config
+        if config.stillness_mode == "px":
+            limits = self._px_limits.get(steps)
+            if limits is None:
+                threshold = config.stillness_threshold
+                limits = (threshold, *_motion_limits(threshold, 4 * steps))
+                self._px_limits[steps] = limits
+            return limits
         if bbox is None:
             raise ValueError("bbox_frac stillness mode needs the detection bbox")
-        return self.config.stillness_threshold * bbox_diagonal(bbox)
+        threshold = config.stillness_threshold * bbox_diagonal(bbox)
+        return (threshold, *_motion_limits(threshold, 4 * steps))
+
+    def _exact_mean(self, part: slice) -> float:
+        """The mean displacement of the ``part`` keypoints over the kept
+        poses, added one distance at a time, oldest step first."""
+        poses = iter(self._poses)
+        last = next(poses)[part]
+        total = 0.0
+        for pose in poses:
+            points = pose[part]
+            for p, q in zip(last, points):
+                total += math.dist(p[:2], q[:2])
+            last = points
+        return total / ((len(self._poses) - 1) * len(last))
 
     def step(
         self, frame_index: int, pose: Pose | None, bbox: BBox | None = None
@@ -206,39 +235,41 @@ class ActionClassifier:
         if last_frame is not None and frame_index <= last_frame:
             raise ValueError("frame indices must be strictly increasing")
         self._last_frame = frame_index
-        if pose is None:
-            self._body.reset()
-            self._arm.reset()
-            self._still_frames = 0
-        else:
-            if last_frame is not None and frame_index != last_frame + 1:
-                self._still_frames = 0
-            self._body.push(frame_index, [kp[:2] for kp in pose[BODY]])
-            self._arm.push(frame_index, [kp[:2] for kp in pose[ARM]])
-            body = self._body.motion()
-            arm = self._arm.motion()
-            if body is None or arm is None:
-                self._still_frames = 0
+        poses, steps = self._poses, self._steps
+        if pose is not None and poses and frame_index == last_frame + 1:
+            steps.append(_step_totals(pose, poses[-1]))
+            poses.append(pose)
+            arm = body = 0.0
+            for arm_step, body_step in steps:
+                arm += arm_step
+                body += body_step
+            threshold, lo, hi = self._limits(bbox, len(steps))
+            body_still = body < lo or (
+                body <= hi and self._exact_mean(BODY) < threshold
+            )
+            arm_still = arm < lo or (arm <= hi and self._exact_mean(ARM) < threshold)
+            if body_still and arm_still:
+                self._still_frames += 1
             else:
-                threshold = self._threshold(bbox)
-                body_still = is_still(body, threshold)
-                arm_still = is_still(arm, threshold)
-                if body_still and arm_still:
-                    self._still_frames += 1
-                else:
-                    self._still_frames = 0
-                loc = classify_location(
-                    pose, self.regions, self.config.probe_conf_floor
+                self._still_frames = 0
+            loc = classify_location(pose, self.regions, self.config.probe_conf_floor)
+            if loc is not None:
+                self.state = step_state(
+                    self.state,
+                    loc,
+                    body_still,
+                    arm_still,
+                    self._still_frames / self.fps,
+                    self.config.idle_grace_s,
                 )
-                if loc is not None:
-                    self.state = step_state(
-                        self.state,
-                        loc,
-                        body_still,
-                        arm_still,
-                        self._still_frames / self.fps,
-                        self.config.idle_grace_s,
-                    )
+        else:
+            # No pose, a first pose or one after a gap: the history
+            # restarts, and there is no motion estimate on this frame.
+            poses.clear()
+            steps.clear()
+            if pose is not None:
+                poses.append(pose)
+            self._still_frames = 0
         state = self.state
         self.observed_frames += 1
         # Extend the open run when this frame follows it in its state;

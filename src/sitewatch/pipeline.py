@@ -68,18 +68,17 @@ class StreamAnalyzer:
     def process_frame(self, frame: PerceptionFrame) -> list[Alert]:
         site = self.site
         frame = dedupe_frame(frame, site.nms_iou, site.nms_decay, site.nms_score_floor)
-        assignment = self.tracker.update(frame.detections)
-        pose_by_track = {}
-        for det_idx, pose in frame.poses:
-            track_id = assignment[det_idx]
-            pose_by_track[track_id] = pose
+        detections = frame.detections
+        assignment = self.tracker.update(detections)
+        tracks = self.tracker.by_id
+        # The parser allows at most one pose per detection.
+        poses = dict(frame.poses)
         frame_tracks = []
-        track_by_id = {t.track_id: t for t in self.tracker.tracks}
         for det_idx, track_id in assignment.items():
-            track = track_by_id[track_id]
+            track = tracks[track_id]
             self.track_classes[track_id] = track.cls
-            bbox = frame.detections[det_idx].bbox
-            pose = pose_by_track.get(track_id)
+            bbox = detections[det_idx].bbox
+            pose = poses.get(det_idx)
             frame_tracks.append((track, bbox, pose))
             if track.cls is MachineClass.EXCAVATOR and pose is not None:
                 classifier = self._classifiers.get(track_id)
@@ -298,10 +297,13 @@ class _ReceivedFrames:
         classes = {c.value: c for c in MachineClass}
         for batch in self._child:
             yield from [
-                PerceptionFrame(
-                    index,
-                    tuple([new(Detection, (classes[c], bbox, s)) for c, bbox, s in detections]),
-                    poses,
+                new(
+                    PerceptionFrame,
+                    (
+                        index,
+                        tuple([new(Detection, (classes[c], bbox, s)) for c, bbox, s in detections]),
+                        poses,
+                    ),
                 )
                 for index, detections, poses in batch
             ]

@@ -161,14 +161,18 @@ class SafetyMonitor:
     ) -> list[Alert]:
         """Evaluate one frame; returns its alerts."""
         locations = locate_machines(frame_tracks, self.regions, self.conf_floor)
-        classes = {track.track_id: track.cls for track, _, _ in frame_tracks}
-        alerts = check_collision(locations, classes, frame_index, self.fps)
+        alerts: list[Alert] = []
+        if len(locations) >= 2:  # every alert needs two occupants
+            classes = {track.track_id: track.cls for track, _, _ in frame_tracks}
+            alerts = check_collision(locations, classes, frame_index, self.fps)
         was_active = self.pause.active
-        self.pause = update_pause(
-            self.pause, alerts, frame_index, self.clearance_window
-        )
-        if self.pause.active and not was_active:
-            self.pause_events.append(("pause_raised", frame_index))
-        elif was_active and not self.pause.active:
-            self.pause_events.append(("pause_cleared", frame_index))
+        # With no alert, update_pause leaves an inactive latch as it is.
+        if alerts or was_active:
+            self.pause = update_pause(
+                self.pause, alerts, frame_index, self.clearance_window
+            )
+            if self.pause.active and not was_active:
+                self.pause_events.append(("pause_raised", frame_index))
+            elif was_active and not self.pause.active:
+                self.pause_events.append(("pause_cleared", frame_index))
         return alerts

@@ -10,10 +10,10 @@ frame::
 
 Boxes are pixel (x, y, w, h) with the origin at the top left.  A pose
 carries all ten excavator keypoints and points at the detection it
-belongs to by index.  Strict parsing rejects any deviation (unknown or
-missing fields, unknown classes, out-of-range values, non-monotone frame
-indices) with the offending line number; lenient parsing skips and
-counts bad frame lines instead.
+belongs to by index; a detection has at most one pose.  Strict parsing
+rejects any deviation (unknown or missing fields, unknown classes,
+out-of-range values, non-monotone frame indices) with the offending
+line number; lenient parsing skips and counts bad frame lines instead.
 
 In memory a pose is a plain tuple of ten (x, y, conf) float triples in
 KEYPOINT_NAMES order, the layout of COCO keypoint annotations, and a box
@@ -126,9 +126,10 @@ def bbox_diagonal(bbox: BBox) -> float:
     return math.hypot(bbox[2], bbox[3])
 
 
-@dataclass(frozen=True, slots=True)
-class PerceptionFrame:
-    """One frame of detector and pose-estimator output."""
+class PerceptionFrame(NamedTuple):
+    """One frame of detector and pose-estimator output; an immutable
+    tuple (index, detections, poses), with at most one pose per
+    detection."""
 
     index: int
     detections: tuple[Detection, ...]
@@ -344,6 +345,12 @@ def _parse_frame(obj, header: StreamHeader, prev_index: int, line_no: int) -> Pe
         raise StreamFormatError("detections and poses must be arrays", line_no)
     detections = tuple([_parse_detection(d, header, line_no) for d in obj["detections"]])
     poses = tuple([_parse_pose(p, detections, line_no) for p in obj["poses"]])
+    if len(poses) > 1:
+        posed = set()
+        for det, _ in poses:
+            if det in posed:
+                raise StreamFormatError(f"pose det index {det} already has a pose", line_no)
+            posed.add(det)
     return PerceptionFrame(index, detections, poses)
 
 
@@ -418,7 +425,7 @@ class StreamParser:
                     # A hit that fails an index check is parsed in full,
                     # which raises the error a first sighting would.
                     if index > self._prev_index and math.isfinite(index / self.header.fps):
-                        return PerceptionFrame(index, *hit)
+                        return tuple.__new__(PerceptionFrame, (index, *hit))
         frame = _parse_frame(self._loads(line), self.header, self._prev_index, self._line_no)
         # With no '"index"' and no escape, no key in the tail decodes to
         # index, so the tail alone gives the detections and poses.
@@ -663,6 +670,9 @@ def dedupe_frame(
     returned as it is.
     """
     detections = frame.detections
+    # A lone box is never scored against another, so its score never decays.
+    if len(detections) < 2 and (not detections or detections[0].score >= score_floor):
+        return frame
     kept = soft_nms_indexed(detections, iou_threshold, decay, score_floor)
     if len(kept) == len(detections) and all(
         orig == i and det is detections[i] for i, (orig, det) in enumerate(kept)
@@ -672,4 +682,6 @@ def dedupe_frame(
     poses = tuple(
         [(remap[det_idx], pose) for det_idx, pose in frame.poses if det_idx in remap]
     )
-    return PerceptionFrame(frame.index, tuple([det for _, det in kept]), poses)
+    return tuple.__new__(
+        PerceptionFrame, (frame.index, tuple([det for _, det in kept]), poses)
+    )

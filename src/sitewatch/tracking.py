@@ -22,7 +22,9 @@ class IouTracker:
     Pairs are ranked by IoU (same class only, IoU >= iou_threshold) and
     matched greedily; unmatched detections open new tracks; a track that
     goes unmatched for miss_cap consecutive frames is retired.  Track ids
-    count up from 1 and are never reused within a stream.
+    count up from 1 and are never reused within a stream.  ``tracks``
+    lists the live tracks oldest first, and ``by_id`` maps each live
+    track's id to it.
     """
 
     def __init__(self, iou_threshold: float = 0.3, miss_cap: int = 25):
@@ -33,6 +35,7 @@ class IouTracker:
         self.iou_threshold = iou_threshold
         self.miss_cap = miss_cap
         self.tracks: list[Track] = []
+        self.by_id: dict[int, Track] = {}
         self._next_id = 1
 
     def update(self, detections: Sequence[Detection]) -> dict[int, int]:
@@ -68,6 +71,7 @@ class IouTracker:
                 track = Track(self._next_id, det.cls, det.bbox)
                 self._next_id += 1
                 new_tracks.append(track)
+                self.by_id[track.track_id] = track
                 assignment[di] = track.track_id
         survivors: list[Track] = []
         for ti, track in enumerate(self.tracks):
@@ -77,5 +81,7 @@ class IouTracker:
                 track.misses += 1
                 if track.misses < self.miss_cap:
                     survivors.append(track)
+                else:
+                    del self.by_id[track.track_id]
         self.tracks = survivors + new_tracks
         return assignment

@@ -11,14 +11,15 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import deque
 from dataclasses import asdict
 from pathlib import Path
 
 from sitewatch import config, simulator
-from sitewatch.activity import ActionState, ActivityConfig
+from sitewatch.activity import ActionState, ActivityConfig, step_state
 from sitewatch.config import SiteConfig
 from sitewatch.errors import StreamFormatError
-from sitewatch.geometry import Region, RegionLabel
+from sitewatch.geometry import Region, RegionLabel, classify_location
 from sitewatch.productivity import CycleRecord
 from sitewatch.simulator import (
     DurationRange,
@@ -30,6 +31,8 @@ from sitewatch.simulator import (
     machine_to_dict,
 )
 from sitewatch.streams import (
+    ARM,
+    BODY,
     KEYPOINT_NAMES,
     Detection,
     MachineClass,
@@ -137,6 +140,124 @@ def frame_states(runs):
         for state, first, last in runs
         for frame in range(first, last + 1)
     ]
+
+
+# --- motion and stillness oracle --------------------------------------------
+
+
+class MotionWindow:
+    """Rolling window of recent keypoint positions for one track.
+
+    Holds positions for up to ``size`` consecutive frames; pushing a
+    non-consecutive frame index resets the window first, so detection
+    gaps never masquerade as large displacements.  ``motion`` adds the
+    stored per-point displacements one at a time, step by step and
+    point by point, oldest first: the sum ActionClassifier's exact path
+    must reproduce.
+    """
+
+    def __init__(self, size: int):
+        if size < 2:
+            raise ValueError("window size must be at least 2")
+        self.size = size
+        self._last_frame: int | None = None
+        self._last_points: tuple | None = None
+        # Per-point displacements between consecutive entries, oldest
+        # step first; the window holds one entry more than steps.
+        self._steps: deque[tuple[float, ...]] = deque(maxlen=size - 1)
+
+    def __len__(self) -> int:
+        return 0 if self._last_points is None else len(self._steps) + 1
+
+    def reset(self) -> None:
+        self._last_frame = None
+        self._last_points = None
+        self._steps.clear()
+
+    def push(self, frame_index: int, points) -> None:
+        points = tuple(points)
+        last = self._last_points
+        if last is not None and len(points) != len(last):
+            raise ValueError("inconsistent keypoint count pushed into window")
+        if self._last_frame is not None and frame_index != self._last_frame + 1:
+            self.reset()
+        elif last is not None:
+            self._steps.append(tuple(map(math.dist, last, points)))
+        self._last_frame = frame_index
+        self._last_points = points
+
+    def motion(self) -> float | None:
+        """Mean per-frame displacement, or None while underfull."""
+        steps = self._steps
+        if not steps:
+            return None
+        total = 0.0
+        for step in steps:
+            for d in step:
+                total += d
+        return total / (len(steps) * len(steps[0]))
+
+
+def is_still(motion: float, threshold: float) -> bool:
+    """Strictly below the threshold counts as still."""
+    return motion < threshold
+
+
+class OracleClassifier:
+    """ActionClassifier's rules on two MotionWindows, one per keypoint
+    group, re-measured every frame; ``states`` keeps every frame's
+    state.  The reference the classifier's fast step is checked against.
+    """
+
+    def __init__(self, regions, fps: float, config: ActivityConfig):
+        self.regions = tuple(regions)
+        self.fps = fps
+        self.config = config
+        self.state = ActionState.UNKNOWN
+        self.states: list[tuple[int, ActionState]] = []
+        self._body = MotionWindow(config.motion_window)
+        self._arm = MotionWindow(config.motion_window)
+        self._still_frames = 0
+        self._last_frame: int | None = None
+
+    def step(self, frame_index: int, pose, bbox=None) -> ActionState:
+        last_frame = self._last_frame
+        self._last_frame = frame_index
+        if pose is None:
+            self._body.reset()
+            self._arm.reset()
+            self._still_frames = 0
+        else:
+            if last_frame is not None and frame_index != last_frame + 1:
+                self._still_frames = 0
+            self._body.push(frame_index, [kp[:2] for kp in pose[BODY]])
+            self._arm.push(frame_index, [kp[:2] for kp in pose[ARM]])
+            body = self._body.motion()
+            arm = self._arm.motion()
+            if body is None or arm is None:
+                self._still_frames = 0
+            else:
+                threshold = self.config.stillness_threshold
+                if self.config.stillness_mode == "bbox_frac":
+                    threshold *= math.hypot(bbox[2], bbox[3])
+                body_still = is_still(body, threshold)
+                arm_still = is_still(arm, threshold)
+                if body_still and arm_still:
+                    self._still_frames += 1
+                else:
+                    self._still_frames = 0
+                loc = classify_location(pose, self.regions, self.config.probe_conf_floor)
+                if loc is not None:
+                    self.state = step_state(
+                        self.state,
+                        loc,
+                        body_still,
+                        arm_still,
+                        self._still_frames / self.fps,
+                        self.config.idle_grace_s,
+                    )
+        self.states.append((frame_index, self.state))
+        return self.state
 
 
 def make_detection(cls="excavator", bbox=(10.0, 20.0, 200.0, 120.0), score=0.9) -> Detection:

@@ -4,17 +4,15 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sitewatch.activity import (
     ActionClassifier,
     ActionState,
     ActivityConfig,
-    MotionWindow,
     TimelineSegment,
     build_timeline,
-    is_still,
     read_timeline_csv,
     step_state,
     write_timeline_csv,
@@ -27,7 +25,10 @@ from helpers import (
     DUMP_CENTER,
     FAR_AWAY,
     REGIONS,
+    MotionWindow,
+    OracleClassifier,
     frame_states,
+    is_still,
     make_pose,
     runs_of,
 )
@@ -141,6 +142,105 @@ def test_is_still_strict_inequality():
     assert is_still(0.0, 1.5)
     assert not is_still(1.5, 1.5)
     assert not is_still(5.0, 1.5)
+
+
+# --- the classifier's summed step totals against the MotionWindow oracle ----
+
+
+def _pose_stream(rng: random.Random, n_frames: int):
+    """(frame, pose or None, bbox) with gaps, pose-less frames, and spans
+    whose body and arm speeds sit on both sides of 1.5 px/frame."""
+    frame = rng.randint(0, 5)
+    body = [900.0, 500.0]
+    arm = list(DIG_CENTER)
+    speeds = (0.0, 0.0)
+    out = []
+    for _ in range(n_frames):
+        if rng.random() < 0.08:
+            speeds = (
+                rng.choice((0.0, 0.3, 1.4, 1.5, 1.6, 4.0)),
+                rng.choice((0.0, 1.45, 1.55, 6.0)),
+            )
+            arm = list(rng.choice((DIG_CENTER, DUMP_CENTER, FAR_AWAY)))
+        roll = rng.random()
+        if roll < 0.04:
+            frame += rng.randint(2, 4)
+        pose = None
+        if roll > 0.06:
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            body[0] += speeds[0] * math.cos(angle)
+            body[1] += speeds[0] * math.sin(angle)
+            arm[0] += speeds[1] * math.cos(-angle)
+            arm[1] += speeds[1] * math.sin(-angle)
+            pose = make_pose(arm=tuple(arm), body=tuple(body))
+        bbox = (body[0] - 200.0, body[1] - 150.0, 300.0 + rng.uniform(-1.0, 1.0), 225.0)
+        out.append((frame, pose, bbox))
+        frame += 1
+    return out
+
+
+@pytest.mark.parametrize("window", range(2, 8))
+@pytest.mark.parametrize(
+    "mode,threshold", [("px", 1.5), ("bbox_frac", 0.004)], ids=["px", "bbox_frac"]
+)
+@pytest.mark.parametrize("seed", range(4))
+def test_classifier_matches_the_motion_window_oracle(seed, mode, threshold, window):
+    config = ActivityConfig(
+        stillness_threshold=threshold,
+        stillness_mode=mode,
+        motion_window=window,
+        idle_grace_s=0.2,
+    )
+    classifier = ActionClassifier(REGIONS, 25.0, config)
+    oracle = OracleClassifier(REGIONS, 25.0, config)
+    for frame, pose, bbox in _pose_stream(random.Random(seed), 400):
+        assert classifier.step(frame, pose, bbox) is oracle.step(frame, pose, bbox), frame
+    assert frame_states(classifier.runs) == oracle.states
+    assert len({state for _, state in oracle.states}) >= 4
+
+
+_SQUARE_COORD = st.floats(100.0, 300.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    body=st.integers(1, 6).flatmap(
+        lambda steps: st.lists(
+            st.lists(st.tuples(_SQUARE_COORD, _SQUARE_COORD), min_size=4, max_size=4),
+            min_size=steps + 1,
+            max_size=steps + 1,
+        )
+    ),
+    order=st.permutations(range(4)),
+    ulps=st.integers(-3, 3),
+)
+def test_decisions_within_ulps_of_the_threshold_match_the_sequential_oracle(
+    body, order, ulps
+):
+    # The arm repeats the body's points in another order: the same
+    # distances summed in another order, so both means sit at the threshold.
+    window = MotionWindow(len(body))
+    for f, points in enumerate(body):
+        window.push(f, points)
+    mean = window.motion()
+    distances = [
+        math.dist(p, q) for last, points in zip(body, body[1:]) for p, q in zip(last, points)
+    ]
+    # Only windows a compensated sum would round differently.
+    assume(math.fsum(distances) / len(distances) != mean)
+    threshold = mean
+    for _ in range(abs(ulps)):
+        threshold = math.nextafter(threshold, math.inf if ulps > 0 else 0.0)
+    assume(threshold > 0.0)
+    config = ActivityConfig(
+        stillness_threshold=threshold, motion_window=len(body), idle_grace_s=0.0
+    )
+    classifier = ActionClassifier(REGIONS, 25.0, config)
+    oracle = OracleClassifier(REGIONS, 25.0, config)
+    for f, points in enumerate(body):
+        triples = [(x, y, 1.0) for x, y in points]
+        pose = tuple([triples[i] for i in order] + [(0.0, 0.0, 0.0)] * 2 + triples)
+        assert classifier.step(f, pose) is oracle.step(f, pose)
 
 
 def test_still_body_in_digging_area_digs():

@@ -5,13 +5,19 @@ Also runs README's "Library use" block against a simulated stream.
 
 import contextlib
 import io
+import random
 import re
 import tracemalloc
+from math import comb
 
+import sitewatch.activity as activity
+import sitewatch.safety as safety
+import sitewatch.streams as streams
+import sitewatch.tracking as tracking
 from sitewatch.activity import ActionState
 from sitewatch.config import SiteConfig
 from sitewatch.pipeline import StreamAnalyzer, analyze_frames, analyze_stream
-from sitewatch.simulator import generate, inject_collision
+from sitewatch.simulator import NoiseModel, ScenarioConfig, generate, inject_collision
 from sitewatch.streams import (
     Detection,
     MachineClass,
@@ -27,6 +33,7 @@ from helpers import (
     frame_states,
     make_header,
     make_pose,
+    naive_soft_nms,
     random_scenario,
     readme_section,
     watch_stream,
@@ -226,3 +233,79 @@ def test_readme_library_use_block_runs(tmp_path, monkeypatch):
     ]
     want += [f"{state.value} {first} {last}" for state, first, last in result.runs[primary]]
     assert printed.getvalue().splitlines() == want
+
+
+def _crowded_frames(seed: int):
+    """A simulated excavator with dropped frames and a parked truck, each
+    box duplicated at half its score, plus a walking human."""
+    noise = NoiseModel(keypoint_sigma=0.5, drop_prob=0.1)
+    sim = generate(random_scenario(seed, noise=noise, with_machine=True))
+    rng = random.Random(seed)
+    for frame in sim.frames:
+        detections = list(frame.detections)
+        for det in frame.detections:
+            x, y, w, h = det.bbox
+            jittered = (max(0.0, x + rng.uniform(-4.0, 4.0)), y, w, h)
+            detections.append(Detection(det.cls, jittered, det.score / 2))
+        walk = 300.0 + 2.0 * (frame.index % 600)
+        detections.append(Detection(MachineClass.HUMAN, (walk, 500.0, 40.0, 110.0), 0.8))
+        yield PerceptionFrame(frame.index, tuple(detections), frame.poses)
+
+
+def test_pinned_work_counts_follow_their_rules(monkeypatch):
+    """The rules behind the benchmark's exact classify_location and IoU counts."""
+    counts = dict.fromkeys(("activity", "safety", "tracking", "soft_nms"), 0)
+
+    def counted(module, name, key):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            counts[key] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(activity, "classify_location", "activity")
+    counted(safety, "classify_location", "safety")
+    counted(tracking, "bbox_iou", "tracking")
+    counted(streams, "bbox_iou", "soft_nms")
+    scored_pairs = [0]
+    update = tracking.IouTracker.update
+
+    def update_counting_pairs(tracker, detections):
+        scored_pairs[0] += sum(
+            1 for track in tracker.tracks for det in detections if det.cls is track.cls
+        )
+        return update(tracker, detections)
+
+    monkeypatch.setattr(tracking.IouTracker, "update", update_counting_pairs)
+
+    frames = list(_crowded_frames(3))
+    lines = [serialize_header(make_header())] + [serialize_frame(f) for f in frames]
+    alerts = []
+    site = SiteConfig(regions=ScenarioConfig().regions)
+    result = analyze_stream(lines, site, on_alerts=alerts.extend)
+
+    # Soft-NMS scores every pair of same-class boxes once when no box
+    # falls below the floor, as here.
+    same_class_pairs = 0
+    for frame in frames:
+        assert len(naive_soft_nms(frame.detections)) == len(frame.detections)
+        classes = [det.cls for det in frame.detections]
+        same_class_pairs += sum(comb(classes.count(c), 2) for c in set(classes))
+    assert counts["soft_nms"] == same_class_pairs
+    # The tracker scores each live track against each same-class box.
+    assert counts["tracking"] == scored_pairs[0]
+    # Safety locates each excavator pose; the classifier locates only the
+    # poses that follow a pose of the same track on the frame before.
+    observed = {
+        tid: {f for _, first, last in runs for f in range(first, last + 1)}
+        for tid, runs in result.runs.items()
+    }
+    assert counts["safety"] == sum(len(seen) for seen in observed.values())
+    assert counts["activity"] == sum(
+        1 for seen in observed.values() for f in seen if f - 1 in seen
+    )
+    # The scenario has gaps, alerts, and more tracks than objects.
+    assert 0 < counts["activity"] < counts["safety"] - 5
+    assert alerts and len(result.track_classes) > 3

@@ -479,6 +479,9 @@ _TAILS = {
     "unknown_field": ',"detections":[],"poses":[],"zoom":1}',
     "unknown_class": frame_line("", '[{"class":"robot","bbox":[1.0,2.0,3.0,4.0],"score":0.5}]')[9:],
     "truncated": ',"detections":[],"poses":[]',
+    "pose_twice": frame_line(
+        "", _EXCAVATOR, f"[{_EXCAVATOR_POSE[1:-1]},{_EXCAVATOR_POSE[1:-1]}]"
+    )[9:],
 }
 
 
@@ -500,6 +503,8 @@ _MEMO_STREAMS = {
     "long_indices": [_H]
     + [_line(i, "human") for i in (1, 2, 10**14, 10**15 - 1, 10**15, 10**15 + 1)],
     "hit_not_increasing": [_H] + [_line(i, "excavator") for i in (1, 2, 3, 3, 2, 4)],
+    "pose_twice_repeated": [_H]
+    + [_line(i, ("pose_twice", "excavator")[i % 2]) for i in range(6)],
     "hit_time_not_finite": ['{"fps":1e-300,"width":1920,"height":1080,"source":"cam"}']
     + [_line(i, "empty") for i in (1, 2, 3, 10**10, 4)],
 }
@@ -549,6 +554,20 @@ def test_memo_matches_a_full_parse_on_drawn_streams(entries, fps, strict, as_byt
         lines = [line.encode() for line in lines]
     expected = parse_outcome(MemoFreeParser, lines, strict)
     assert parse_outcome(streams.StreamParser, lines, strict) == expected
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
+def test_two_poses_on_one_detection_are_a_bad_frame_line(strict):
+    lines = [_H, _line(0, "excavator"), _line(1, "pose_twice"), _line(2, "excavator")]
+    parser = parse_stream(lines, strict=strict)
+    if strict:
+        with pytest.raises(StreamFormatError) as err:
+            list(parser)
+        assert err.value.line_no == 3
+        assert "pose det index 0 already has a pose" in str(err.value)
+    else:
+        assert [f.index for f in parser] == [0, 2]
+        assert parser.skipped == 1
 
 
 def _same_values(a, b) -> bool:

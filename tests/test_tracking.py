@@ -226,6 +226,7 @@ def test_update_matches_the_all_pairs_rules(seed, monkeypatch):
         assert [
             [t.track_id, t.cls, t.bbox, t.misses] for t in tracker.tracks
         ] == reference.tracks
+        assert tracker.by_id == {t.track_id: t for t in tracker.tracks}
 
 
 def test_constructor_validation():
