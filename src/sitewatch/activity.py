@@ -21,8 +21,6 @@ from typing import Iterable, Sequence
 from .errors import StreamFormatError
 from .geometry import LocationLabel, Region, classify_location
 from .streams import (
-    ARM,
-    BODY,
     BBox,
     Pose,
     bbox_diagonal,
@@ -51,9 +49,7 @@ def _step_totals(pose: Pose, last: Pose) -> tuple[float, float]:
 
     Each is the four ``math.hypot`` distances of its keypoints added in
     keypoint order, read straight from the triples at the ARM (0..3)
-    and BODY (6..9) positions.  ``math.dist(p, q)`` rounds exactly as
-    ``hypot(qx - px, qy - py)``, so every distance equals the exact
-    path's.
+    and BODY (6..9) positions.
     """
     (a0x, a0y, _), (a1x, a1y, _), (a2x, a2y, _), (a3x, a3y, _), _, _, (
         b0x, b0y, _), (b1x, b1y, _), (b2x, b2y, _), (b3x, b3y, _) = pose
@@ -73,39 +69,6 @@ def _step_totals(pose: Pose, last: Pose) -> tuple[float, float]:
         + hypot(b3x - q3x, b3y - q3y)
     )
     return arm, body
-
-
-# The unit roundoff of a float, u = 2**-53.
-_U = 2.0**-53
-
-
-def _motion_limits(threshold: float, m: int) -> tuple[float, float]:
-    """``(lo, hi)`` for a summed total T of ``m`` distances: T < lo is
-    still and T > hi is moving, as the exact mean would decide.
-
-    The exact decision is ``fl(E / m) < threshold``, where E adds the
-    same m distances (each >= 0) one at a time in another order.  T and
-    E are both recursive sums of them, so each lies within
-    g = γ(m-1) = (m-1)u / (1 - (m-1)u) of their exact sum S, relative
-    to S (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
-    ed., 2002, §4.2), and E/T lies in [(1-g)/(1+g), (1+g)/(1-g)], about
-    1 ± 2(m-1)u.  L = fl(threshold * m), and lo and hi themselves, each
-    round once more, by at most u.  Rounding is monotone and the
-    threshold is a float, so the quotient rounds below it when E/m <
-    threshold(1 - 2u), and not below it when E/m >= threshold.  With
-    η = (2m + 8)u, lo = L(1 - η) and hi = L(1 + η), T < lo gives the
-    first and T > hi the second: to first order the one needs
-    η >= 2(m-1)u + 4u and the other η >= 2(m-1)u + 2u.  The 6u to spare
-    covers the second-order terms, about 2(mu)**2, while m <= 2**26.
-    The argument also needs the product and the quotient in the normal
-    range, so outside 2**-900 < L < 2**900, or for a larger m, every
-    total takes the exact path.
-    """
-    limit = threshold * m
-    if not (2.0**-900 < limit < 2.0**900 and m <= 2**26):
-        return 0.0, math.inf
-    slack = limit * ((2 * m + 8) * _U)
-    return limit - slack, limit + slack
 
 
 def step_state(
@@ -165,10 +128,11 @@ class ActionClassifier:
     Motion is the mean frame-to-frame displacement of the four body (and
     the four arm) keypoints over the last ``motion_window`` consecutive
     poses; strictly below the stillness threshold counts as still.  Each
-    step adds four distances to one arm and one body total and keeps
-    them, and the summed totals are compared with ``threshold * n``.
-    Only a sum within the rounding bound of ``_motion_limits`` recomputes
-    the exact mean from the kept poses.
+    step's total adds its four distances in keypoint order
+    (``_step_totals``); the motion adds the kept steps' totals oldest
+    first, one ``+=`` at a time, and divides by four times the step
+    count.  That order is the rule: ``sum()`` compensates float rounding
+    from Python 3.12 on, so it would make decisions version-dependent.
 
     The state history is kept as runs, ``[state, first_frame,
     last_frame]``, each over consecutive observed frames in one state,
@@ -189,43 +153,14 @@ class ActionClassifier:
         self.state = ActionState.UNKNOWN
         self.runs: list[list] = []
         self.observed_frames = 0
-        window = self.config.motion_window
-        # The last consecutive poses, oldest first, and the (arm, body)
-        # totals of each step between them.
-        self._poses: deque[Pose] = deque(maxlen=window)
-        self._steps: deque[tuple[float, float]] = deque(maxlen=window - 1)
-        # (threshold, lo, hi) by step count, in "px" mode.
-        self._px_limits: dict[int, tuple[float, float, float]] = {}
+        # The last pose of the current run of consecutive frames, and
+        # the (arm, body) totals of the steps before it, oldest first.
+        self._last_pose: Pose | None = None
+        self._steps: deque[tuple[float, float]] = deque(
+            maxlen=self.config.motion_window - 1
+        )
         self._still_frames = 0
         self._last_frame: int | None = None
-
-    def _limits(self, bbox: BBox | None, steps: int) -> tuple[float, float, float]:
-        """The threshold and ``_motion_limits`` for ``steps`` kept steps."""
-        config = self.config
-        if config.stillness_mode == "px":
-            limits = self._px_limits.get(steps)
-            if limits is None:
-                threshold = config.stillness_threshold
-                limits = (threshold, *_motion_limits(threshold, 4 * steps))
-                self._px_limits[steps] = limits
-            return limits
-        if bbox is None:
-            raise ValueError("bbox_frac stillness mode needs the detection bbox")
-        threshold = config.stillness_threshold * bbox_diagonal(bbox)
-        return (threshold, *_motion_limits(threshold, 4 * steps))
-
-    def _exact_mean(self, part: slice) -> float:
-        """The mean displacement of the ``part`` keypoints over the kept
-        poses, added one distance at a time, oldest step first."""
-        poses = iter(self._poses)
-        last = next(poses)[part]
-        total = 0.0
-        for pose in poses:
-            points = pose[part]
-            for p, q in zip(last, points):
-                total += math.dist(p[:2], q[:2])
-            last = points
-        return total / ((len(self._poses) - 1) * len(last))
 
     def step(
         self, frame_index: int, pose: Pose | None, bbox: BBox | None = None
@@ -235,24 +170,28 @@ class ActionClassifier:
         if last_frame is not None and frame_index <= last_frame:
             raise ValueError("frame indices must be strictly increasing")
         self._last_frame = frame_index
-        poses, steps = self._poses, self._steps
-        if pose is not None and poses and frame_index == last_frame + 1:
-            steps.append(_step_totals(pose, poses[-1]))
-            poses.append(pose)
+        steps, last_pose = self._steps, self._last_pose
+        self._last_pose = pose
+        if pose is not None and last_pose is not None and frame_index == last_frame + 1:
+            steps.append(_step_totals(pose, last_pose))
             arm = body = 0.0
             for arm_step, body_step in steps:
                 arm += arm_step
                 body += body_step
-            threshold, lo, hi = self._limits(bbox, len(steps))
-            body_still = body < lo or (
-                body <= hi and self._exact_mean(BODY) < threshold
-            )
-            arm_still = arm < lo or (arm <= hi and self._exact_mean(ARM) < threshold)
+            config = self.config
+            threshold = config.stillness_threshold
+            if config.stillness_mode == "bbox_frac":
+                if bbox is None:
+                    raise ValueError("bbox_frac stillness mode needs the detection bbox")
+                threshold *= bbox_diagonal(bbox)
+            n = 4 * len(steps)
+            body_still = body / n < threshold
+            arm_still = arm / n < threshold
             if body_still and arm_still:
                 self._still_frames += 1
             else:
                 self._still_frames = 0
-            loc = classify_location(pose, self.regions, self.config.probe_conf_floor)
+            loc = classify_location(pose, self.regions, config.probe_conf_floor)
             if loc is not None:
                 self.state = step_state(
                     self.state,
@@ -260,15 +199,12 @@ class ActionClassifier:
                     body_still,
                     arm_still,
                     self._still_frames / self.fps,
-                    self.config.idle_grace_s,
+                    config.idle_grace_s,
                 )
         else:
             # No pose, a first pose or one after a gap: the history
             # restarts, and there is no motion estimate on this frame.
-            poses.clear()
             steps.clear()
-            if pose is not None:
-                poses.append(pose)
             self._still_frames = 0
         state = self.state
         self.observed_frames += 1

@@ -291,6 +291,8 @@ def _read_segments_csv(path, with_scores: bool):
             raise StreamFormatError(f"{path}: segments CSV needs columns {sorted(required)}")
         for line_no, row in enumerate(reader, start=2):
             try:
+                if None in row.values():
+                    raise ValueError("segments CSV row has fewer cells than its header")
                 segment = TemporalSegment(
                     row["state"], float(row["start_s"]), float(row["end_s"])
                 )
@@ -389,6 +391,12 @@ def _add_common_analysis_flags(sub) -> None:
     )
 
 
+def float_list(text: str) -> tuple[float, ...]:
+    """Comma-separated numbers, as ``0.5,0.75``; argparse names this
+    function in its error for a bad value."""
+    return tuple(float(v) for v in text.split(","))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sitewatch",
@@ -432,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iou-gate", type=float, default=0.5)
     p.add_argument(
         "--oks-thresholds",
-        type=lambda s: tuple(float(v) for v in s.split(",")),
+        type=float_list,
         help="comma-separated OKS gates for --task pose",
     )
     p.add_argument("-o", "--out", help="write the table as CSV")

@@ -106,10 +106,13 @@ def polygon_centroid(polygon: Sequence[Point]) -> Point:
         cx += (x1 + x2) * w
         cy += (y1 + y2) * w
     if abs(total) < _EPS:
-        return (
-            sum(p[0] for p in polygon) / n,
-            sum(p[1] for p in polygon) / n,
-        )
+        # The vertex mean, added in order: sum() rounds differently from
+        # Python 3.12 on.
+        sx = sy = 0.0
+        for x, y in polygon:
+            sx += x
+            sy += y
+        return sx / n, sy / n
     return cx / (3.0 * total), cy / (3.0 * total)
 
 

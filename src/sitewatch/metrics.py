@@ -138,11 +138,20 @@ def average_precision_11pt(
 
 
 def mean_ap(per_class_ap: dict) -> float:
-    """Unweighted mean over classes whose AP is defined."""
-    defined = [v for v in per_class_ap.values() if v is not None]
+    """Unweighted mean over classes whose AP is defined.
+
+    The APs are added one ``+=`` at a time in order, never with
+    ``sum()``, which compensates float rounding from Python 3.12 on.
+    """
+    total = 0.0
+    defined = 0
+    for ap in per_class_ap.values():
+        if ap is not None:
+            total += ap
+            defined += 1
     if not defined:
         raise ValueError("no class has a defined AP")
-    return sum(defined) / len(defined)
+    return total / defined
 
 
 def oks(
@@ -198,13 +207,15 @@ def keypoint_ap(
         return oks(pred_pose, truth_pose, scale, per_keypoint_kappa)
 
     truth_pairs = [(group, (pose, scale)) for group, pose, scale in truths]
-    aps = []
+    total = 0.0
+    defined = False
     for gate in oks_thresholds:
         matches = greedy_match(predictions, truth_pairs, similarity, gate)
-        aps.append(ap_from_matches(matches, len(truth_pairs)))
-    if all(ap is None for ap in aps):
-        return None
-    return sum(ap for ap in aps if ap is not None) / len(aps)
+        ap = ap_from_matches(matches, len(truth_pairs))
+        if ap is not None:
+            total += ap
+            defined = True
+    return total / len(oks_thresholds) if defined else None
 
 
 def segment_ap(

@@ -150,10 +150,9 @@ class MotionWindow:
 
     Holds positions for up to ``size`` consecutive frames; pushing a
     non-consecutive frame index resets the window first, so detection
-    gaps never masquerade as large displacements.  ``motion`` adds the
-    stored per-point displacements one at a time, step by step and
-    point by point, oldest first: the sum ActionClassifier's exact path
-    must reproduce.
+    gaps never masquerade as large displacements.  ``motion`` adds each
+    step's per-point displacements in point order, then the step totals
+    oldest first: the order of ActionClassifier's rule.
     """
 
     def __init__(self, size: int):
@@ -193,8 +192,10 @@ class MotionWindow:
             return None
         total = 0.0
         for step in steps:
+            step_total = 0.0
             for d in step:
-                total += d
+                step_total += d
+            total += step_total
         return total / (len(steps) * len(steps[0]))
 
 

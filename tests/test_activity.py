@@ -97,13 +97,17 @@ def test_window_requires_consistent_keypoint_count():
 
 
 def _window_motion_oracle(entries):
-    """Mean displacement re-measured from scratch over the stored entries."""
+    """Mean displacement re-measured from scratch over the stored entries:
+    each step's distances added in point order, then the steps, oldest
+    first."""
     if len(entries) < 2:
         return None
     total = 0.0
     for prev, entry in zip(entries, entries[1:]):
+        step_total = 0.0
         for (x1, y1), (x2, y2) in zip(prev, entry):
-            total += math.hypot(x2 - x1, y2 - y1)
+            step_total += math.hypot(x2 - x1, y2 - y1)
+        total += step_total
     return total / ((len(entries) - 1) * len(entries[0]))
 
 
@@ -200,47 +204,93 @@ def test_classifier_matches_the_motion_window_oracle(seed, mode, threshold, wind
 
 
 _SQUARE_COORD = st.floats(100.0, 300.0, allow_nan=False, allow_infinity=False)
-
-
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(
-    body=st.integers(1, 6).flatmap(
-        lambda steps: st.lists(
-            st.lists(st.tuples(_SQUARE_COORD, _SQUARE_COORD), min_size=4, max_size=4),
-            min_size=steps + 1,
-            max_size=steps + 1,
-        )
-    ),
-    order=st.permutations(range(4)),
-    ulps=st.integers(-3, 3),
+_BODY_WINDOWS = st.integers(1, 6).flatmap(
+    lambda steps: st.lists(
+        st.lists(st.tuples(_SQUARE_COORD, _SQUARE_COORD), min_size=4, max_size=4),
+        min_size=steps + 1,
+        max_size=steps + 1,
+    )
 )
-def test_decisions_within_ulps_of_the_threshold_match_the_sequential_oracle(
-    body, order, ulps
-):
-    # The arm repeats the body's points in another order: the same
-    # distances summed in another order, so both means sit at the threshold.
+
+
+def _rule_mean(body):
+    """The oracle's mean over a window of body points, and whether adding
+    the same distances point by point rounds to another mean."""
     window = MotionWindow(len(body))
     for f, points in enumerate(body):
         window.push(f, points)
     mean = window.motion()
-    distances = [
-        math.dist(p, q) for last, points in zip(body, body[1:]) for p, q in zip(last, points)
-    ]
-    # Only windows a compensated sum would round differently.
-    assume(math.fsum(distances) / len(distances) != mean)
-    threshold = mean
+    total = 0.0
+    for last, points in zip(body, body[1:]):
+        for p, q in zip(last, points):
+            total += math.dist(p, q)
+    return mean, total / (4 * (len(body) - 1)) != mean
+
+
+def _nudged(value, ulps):
     for _ in range(abs(ulps)):
-        threshold = math.nextafter(threshold, math.inf if ulps > 0 else 0.0)
-    assume(threshold > 0.0)
-    config = ActivityConfig(
-        stillness_threshold=threshold, motion_window=len(body), idle_grace_s=0.0
-    )
+        value = math.nextafter(value, math.inf if ulps > 0 else 0.0)
+    return value
+
+
+def _assert_decisions_match_the_oracle(body, order, config, bbox=None):
+    # The arm repeats the body's points in another order, so its mean
+    # sits at or next to the body's.
     classifier = ActionClassifier(REGIONS, 25.0, config)
     oracle = OracleClassifier(REGIONS, 25.0, config)
     for f, points in enumerate(body):
         triples = [(x, y, 1.0) for x, y in points]
         pose = tuple([triples[i] for i in order] + [(0.0, 0.0, 0.0)] * 2 + triples)
-        assert classifier.step(f, pose) is oracle.step(f, pose)
+        assert classifier.step(f, pose, bbox) is oracle.step(f, pose, bbox)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(body=_BODY_WINDOWS, order=st.permutations(range(4)), ulps=st.integers(-3, 3))
+def test_px_decisions_within_ulps_of_the_threshold_follow_the_per_step_order(
+    body, order, ulps
+):
+    mean, order_matters = _rule_mean(body)
+    # Only windows whose point-by-point sum rounds to another mean, so a
+    # classifier that adds in that order fails here.
+    assume(order_matters)
+    threshold = _nudged(mean, ulps)
+    assume(threshold > 0.0)
+    config = ActivityConfig(
+        stillness_threshold=threshold, motion_window=len(body), idle_grace_s=0.0
+    )
+    _assert_decisions_match_the_oracle(body, order, config)
+
+
+_BBOX_SIDE = st.floats(20.0, 800.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    body=_BODY_WINDOWS,
+    order=st.permutations(range(4)),
+    ulps=st.integers(-3, 3),
+    width=_BBOX_SIDE,
+    height=_BBOX_SIDE,
+)
+def test_bbox_frac_decisions_within_ulps_of_the_threshold_follow_the_per_step_order(
+    body, order, ulps, width, height
+):
+    mean, order_matters = _rule_mean(body)
+    assume(order_matters)
+    bbox = (0.0, 0.0, width, height)
+    diagonal = math.hypot(width, height)
+    fraction = _nudged(mean, ulps) / diagonal
+    assume(fraction > 0.0)
+    # The threshold the rule compares with, fraction × diagonal, lands
+    # within a rounding or two of the nudged mean.
+    assert abs(fraction * diagonal - mean) <= 5 * math.ulp(mean)
+    config = ActivityConfig(
+        stillness_threshold=fraction,
+        stillness_mode="bbox_frac",
+        motion_window=len(body),
+        idle_grace_s=0.0,
+    )
+    _assert_decisions_match_the_oracle(body, order, config, bbox)
 
 
 def test_still_body_in_digging_area_digs():

@@ -783,6 +783,30 @@ def test_eval_action_rejects_missing_columns(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("side", ["pred", "truth"])
+def test_eval_action_rejects_a_short_row(tmp_path, capsys, side):
+    good = _segments_csv(tmp_path / "good.csv", [("digging", 0.0, 8.0)])
+    short = tmp_path / "short.csv"
+    short.write_text("start_s,end_s,state\n0,8,digging\n1,2\n")
+    files = {"pred": good, "truth": good, side: short}
+    code = main(
+        ["eval", "--task", "action", "--pred", str(files["pred"]), "--truth", str(files["truth"])]
+    )
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"error: line 3: {short}: segments CSV row has fewer cells than its header\n"
+    )
+
+
+def test_eval_names_the_oks_thresholds_type_in_its_error(tmp_path, capsys):
+    truth = _segments_csv(tmp_path / "truth.csv", [("digging", 0.0, 8.0)])
+    argv = ["eval", "--task", "pose", "--pred", str(truth), "--truth", str(truth)]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--oks-thresholds", "0.5,abc"])
+    assert exc.value.code == 2
+    assert "invalid float_list value: '0.5,abc'" in capsys.readouterr().err
+
+
 def test_watch_emits_alerts_and_pause_events(tmp_path, capsys, monkeypatch):
     site = _site_file(tmp_path, regions=REGIONS, clearance_window=3)
     monkeypatch.setattr("sys.stdin", io.StringIO(watch_stream({0, 1, 2}, 6)))

@@ -117,6 +117,14 @@ def test_polygon_area_and_centroid():
     assert polygon_centroid(SQUARE) == (5.0, 5.0)
 
 
+def test_degenerate_centroid_adds_the_vertices_in_order():
+    # Ten vertices at 0.1 add to 0.9999999999999999 in order; a
+    # compensated sum (``sum()`` from Python 3.12 on) gives 1.0.
+    line = [(0.1, 0.1)] * 10
+    assert math.fsum(x for x, _ in line) / 10 != 0.9999999999999999 / 10
+    assert polygon_centroid(line) == (0.9999999999999999 / 10,) * 2
+
+
 def test_region_requires_valid_disjoint_polygons():
     with pytest.raises(ValueError):
         Region(RegionLabel.DIGGING, ((0.0, 0.0), (1.0, 1.0)))

@@ -164,6 +164,25 @@ def test_mean_ap_averages_defined_classes():
         mean_ap({})
 
 
+# Ten APs of 0.1: added in order they make 0.9999999999999999, but a
+# compensated sum (``sum()`` from Python 3.12 on) gives exactly 1.0.
+_TENTHS = [0.1] * 10
+_SEQUENTIAL_MEAN = 0.9999999999999999 / 10
+
+
+def test_mean_ap_adds_the_class_aps_in_order():
+    assert math.fsum(_TENTHS) / 10 != _SEQUENTIAL_MEAN
+    assert mean_ap(dict(enumerate(_TENTHS))) == _SEQUENTIAL_MEAN
+    assert mean_ap({**dict(enumerate(_TENTHS)), "none": None}) == _SEQUENTIAL_MEAN
+
+
+def test_keypoint_ap_adds_the_gate_aps_in_order(monkeypatch):
+    monkeypatch.setattr("sitewatch.metrics.ap_from_matches", lambda matches, n: 0.1)
+    gates = [0.5 + 0.04 * i for i in range(10)]
+    pose = make_pose()
+    assert keypoint_ap([(0, pose, 0.9)], [(0, pose, 60.0)], gates) == _SEQUENTIAL_MEAN
+
+
 def test_oks_identity_is_one():
     pose = make_pose()
     assert oks(pose, pose, scale=50.0) == 1.0
